@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race fuzz faults topologies bench bench-json bench-parallel bench-controller bench-telemetry bench-store sweepd chaos profile profile-parallel verify
+.PHONY: build vet test race fuzz faults topologies bench sweepd chaos profile profile-parallel verify
 
 build:
 	$(GO) build ./...
@@ -47,53 +47,14 @@ faults:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Kernel benchmark baseline as committed JSON (see DESIGN.md
-# "Performance"). Regenerate after kernel changes and commit the diff.
-bench-json:
-	{ $(GO) test -bench 'BenchmarkKernel' -benchmem -run '^$$' ./internal/sim/ && \
-	  $(GO) test -bench 'BenchmarkController' -benchmem -run '^$$' ./internal/memctrl/ && \
-	  $(GO) test -bench 'BenchmarkHierarchyReadPath' -benchmem -run '^$$' ./internal/core/ && \
-	  $(GO) test -bench 'BenchmarkSimulatorSpeed|BenchmarkSystemParallel' -benchmem -benchtime 5x -run '^$$' . ; } \
-	| $(GO) run ./cmd/benchjson > BENCH_kernel.json
-
-# Lane-parallel execution baseline as committed JSON (see DESIGN.md
-# "Parallel lane execution"): the serial reference run next to the same
-# run on lanes, plus the barrier-heavy DL variant. ns/op ratios only
-# mean something with the recorded core count — regenerate on a
-# multi-core host after lane or drive-loop changes and commit the diff.
-bench-parallel:
-	$(GO) test -bench 'BenchmarkSimulatorSpeed|BenchmarkSystemParallel' \
-		-benchmem -benchtime 5x -run '^$$' . \
-	| $(GO) run ./cmd/benchjson > BENCH_parallel.json
-
-# Controller scheduling baseline as committed JSON (see DESIGN.md
-# "Controller scheduling performance"): the controller microbenchmark
-# family plus end-to-end simulator speed. Regenerate after controller,
-# DRAM-timing, or drive-loop changes and commit the diff.
-bench-controller:
-	{ $(GO) test -bench 'BenchmarkController' -benchmem -run '^$$' ./internal/memctrl/ && \
-	  $(GO) test -bench 'BenchmarkSimulatorSpeed' -benchmem -benchtime 5x -run '^$$' . ; } \
-	| $(GO) run ./cmd/benchjson > BENCH_controller.json
-
-# Telemetry overhead baseline as committed JSON: the same run with the
-# epoch sampler off and at two intervals. The on-vs-off ns/op ratio is
-# the sampling cost; budget < 3% at the default 10k-cycle interval.
-bench-telemetry:
-	$(GO) test -bench 'BenchmarkTelemetry' -benchmem -benchtime 20x -run '^$$' . \
-		| $(GO) run ./cmd/benchjson > BENCH_telemetry.json
-
-# Durable run-cache baseline as committed JSON (see DESIGN.md "Durable
-# run cache"): key hashing, entry encode/write, and verified-hit read.
-# Regenerate after store or codec changes and commit the diff.
-bench-store:
-	$(GO) test -bench 'BenchmarkStore' -benchmem -run '^$$' ./internal/store/ \
-		| $(GO) run ./cmd/benchjson > BENCH_store.json
-
 # Robustness smoke: the lease protocol, the chaos-store convergence
 # suite, the crash-simulation store tests, and the multi-worker /
-# SIGKILL / drain integration tests, all under the race detector.
+# SIGKILL / drain integration tests, all under the race detector. The
+# concurrent claim and reclaim tests also run 200 times: each must
+# produce exactly one winner every time, not most times.
 chaos:
 	$(GO) test -race -count=1 ./internal/lease/ ./internal/chaos/
+	$(GO) test -count=200 ./internal/lease/ -run 'Claim|Reclaim'
 	$(GO) test -race -count=1 ./internal/store/ -run 'TestPutFsync|TestCrashSim|TestDegraded|TestReadOnly'
 	$(GO) test -race -count=1 ./internal/exp/ -run 'TestChaoticStore|TestCellTimeout|TestContextCancel|TestGenerousDeadline'
 	$(GO) test -race -count=1 ./cmd/sweepd/ -run 'TestSweepdTwoWorkers|TestSweepdWorkerSIGKILL|TestSweepdChaotic|TestSweepdPoisoned|TestSweepdHealth|TestSweepdDrainDeadline'

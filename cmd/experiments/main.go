@@ -403,9 +403,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: cache %s: %d hits, %d misses, %d writes, %d corrupt\n",
 			*cacheDir, cs.Hits, cs.Misses, cs.Writes, cs.Corrupt)
 	}
-	st := r.Stats()
-	fmt.Fprintf(os.Stderr, "experiments: %d runs (%d deduped) on %d workers in %.1fs\n",
-		st.Executed, st.Deduped, r.Workers(), time.Since(start).Seconds())
+	st, refs := r.Stats(), r.RefStats()
+	fmt.Fprintf(os.Stderr, "experiments: %d runs (%d deduped), %d stand-alone refs simulated (%d reused), on %d workers in %.1fs\n",
+		st.Executed, st.Deduped, refs.Executed, refs.Reused, r.Workers(), time.Since(start).Seconds())
 }
 
 // topoConfig resolves one -topology item: a grid config name (so

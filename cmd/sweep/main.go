@@ -123,6 +123,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		baseFaults.Seed = *faultSeed
 	}
 
+	// Grid points of one sweep share their stand-alone references
+	// (the baseline one never depends on the swept parameter).
+	var refs hetsim.RefMemo
 	pool := runpool.New[int, hetsim.Results](*workers)
 	tasks := make([]*runpool.Task[hetsim.Results], len(vals))
 	for i, vs := range vals {
@@ -153,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			var res hetsim.Results
 			if *pair {
-				r, err := hetsim.RunPair(cfg, *bench, runScale)
+				r, err := hetsim.RunPairWith(&refs, cfg, *bench, runScale)
 				if err != nil {
 					return hetsim.Results{}, err
 				}

@@ -33,15 +33,17 @@ type jobSpec struct {
 }
 
 type jobStatus struct {
-	ID       string   `json:"id"`
-	State    string   `json:"state"`
-	Total    int      `json:"total"`
-	Done     int      `json:"done"`
-	Failed   int      `json:"failed"`
-	Poisoned int      `json:"poisoned"`
-	Executed uint64   `json:"executed"`
-	Restored uint64   `json:"restored"`
-	Errors   []string `json:"errors"`
+	ID           string   `json:"id"`
+	State        string   `json:"state"`
+	Total        int      `json:"total"`
+	Done         int      `json:"done"`
+	Failed       int      `json:"failed"`
+	Poisoned     int      `json:"poisoned"`
+	Executed     uint64   `json:"executed"`
+	Restored     uint64   `json:"restored"`
+	RefsExecuted uint64   `json:"refs_executed"`
+	RefsReused   uint64   `json:"refs_reused"`
+	Errors       []string `json:"errors"`
 }
 
 type client struct {
@@ -254,6 +256,9 @@ func printStatus(out io.Writer, st jobStatus) {
 	}
 	if st.Poisoned > 0 {
 		fmt.Fprintf(out, ", %d poisoned", st.Poisoned)
+	}
+	if st.RefsExecuted+st.RefsReused > 0 {
+		fmt.Fprintf(out, "; stand-alone refs %d simulated, %d reused", st.RefsExecuted, st.RefsReused)
 	}
 	fmt.Fprintln(out)
 	for _, e := range st.Errors {

@@ -220,3 +220,17 @@ func TestUnknownCommand(t *testing.T) {
 		t.Fatalf("stderr: %q", errb)
 	}
 }
+
+// TestStatusPrintsReferenceCounts: the server's stand-alone reference
+// counters ride on the status line once any pair cell has run.
+func TestStatusPrintsReferenceCounts(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(jobStatus{ID: "abc123", State: "done", Total: 2, Done: 2,
+			RefsExecuted: 2, RefsReused: 2})
+	}))
+	defer ts.Close()
+	code, out, _ := runCtl(t, ts.URL, "status", "abc123")
+	if want := "abc123  done     2/2 done; stand-alone refs 2 simulated, 2 reused\n"; code != 0 || out != want {
+		t.Fatalf("exit %d, output %q, want %q", code, out, want)
+	}
+}

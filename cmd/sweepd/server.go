@@ -184,6 +184,11 @@ type Server struct {
 	executed atomic.Uint64
 	restored atomic.Uint64
 
+	// refs shares the pair cells' stand-alone references across every
+	// job this server runs: the baseline reference of a benchmark is
+	// the same run for every organization.
+	refs hetsim.RefMemo
+
 	mu   sync.Mutex
 	jobs map[string]*job
 }
@@ -632,7 +637,7 @@ func (s *Server) runCell(c *cell) (hetsim.Results, error) {
 	var res hetsim.Results
 	if c.key.Pair {
 		var err error
-		res, err = hetsim.RunPair(cfg, c.Bench, c.scale)
+		res, err = hetsim.RunPairWith(&s.refs, cfg, c.Bench, c.scale)
 		if err != nil {
 			return hetsim.Results{}, err
 		}
@@ -714,19 +719,26 @@ type Status struct {
 	Poisoned int `json:"poisoned,omitempty"`
 	// Executed and Restored are server-lifetime counters: cells that
 	// ran the simulator vs cells served from the durable store.
-	Executed uint64   `json:"executed"`
-	Restored uint64   `json:"restored"`
-	Errors   []string `json:"errors,omitempty"`
+	Executed uint64 `json:"executed"`
+	Restored uint64 `json:"restored"`
+	// RefsExecuted and RefsReused are server-lifetime counters too: the
+	// stand-alone references pair cells simulated vs took from an
+	// earlier cell's run (see hetsim.RefMemo).
+	RefsExecuted uint64   `json:"refs_executed"`
+	RefsReused   uint64   `json:"refs_reused"`
+	Errors       []string `json:"errors,omitempty"`
 }
 
 func (s *Server) status(j *job) Status {
 	j.mu.Lock()
 	done, failed, poisoned := j.done, j.failed, j.poisoned
 	j.mu.Unlock()
+	refs := s.refs.Stats()
 	st := Status{
 		ID: j.ID, Spec: j.Spec, State: "running",
 		Total: len(j.Cells), Done: done, Failed: failed, Poisoned: poisoned,
 		Executed: s.executed.Load(), Restored: s.restored.Load(),
+		RefsExecuted: refs.Executed, RefsReused: refs.Reused,
 	}
 	if done+failed+poisoned == len(j.Cells) {
 		if failed+poisoned > 0 {

@@ -13,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hetsim"
+	"hetsim/internal/grid"
 )
 
 // testSpec is the canonical 4-cell grid used across the tests: four
@@ -414,5 +417,37 @@ func TestSweepdBadSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown job id: got %s, want 404", resp.Status)
 		}
+	}
+}
+
+// TestSweepdPairCellsShareReferences: pair cells of one benchmark under
+// two organizations, in two jobs, simulate the baseline reference once
+// — the status JSON counts it — and rows stay those of hetsim.RunPair.
+func TestSweepdPairCellsShareReferences(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, filepath.Join(dir, "cache"), filepath.Join(dir, "state"), 2)
+	defer h.srv.Close()
+	var fin Status
+	for _, org := range []string{"baseline", "rl"} {
+		st := h.submit(t, JobSpec{Config: org, Benchmarks: []string{"libquantum"}, Scale: "quick", Pair: true})
+		if fin = h.waitDone(t, st.ID); fin.State != "done" {
+			t.Fatalf("%s job: %+v", org, fin)
+		}
+		cfg, err := grid.Config(org, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := hetsim.RunPair(cfg, "libquantum", hetsim.QuickScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.resultsCSV(t, st.ID); !strings.Contains(got, strings.Join(want.CSVRow(), ",")) {
+			t.Fatalf("%s row differs from RunPair:\n%s\nwant %v", org, got, want.CSVRow())
+		}
+	}
+	// baseline: its base reference runs, its self reference is the same
+	// run; rl: base reference reused, self reference runs.
+	if fin.RefsExecuted != 2 || fin.RefsReused != 2 {
+		t.Fatalf("refs %d executed / %d reused, want 2 / 2", fin.RefsExecuted, fin.RefsReused)
 	}
 }

@@ -205,11 +205,22 @@ func (s *System) Metrics() []string { return s.inner.Reg.Names() }
 // RunPair measures the paper's weighted-speedup throughput metric:
 // an 8-core shared run against a single-core stand-alone reference.
 func RunPair(cfg Config, benchmark string, scale Scale) (Results, error) {
+	return RunPairWith(nil, cfg, benchmark, scale)
+}
+
+// RefMemo shares RunPair's stand-alone reference runs across the pair
+// cells of a sweep: each distinct reference is simulated once per memo.
+// The zero value is ready to use and safe for concurrent use.
+type RefMemo = core.RefMemo
+
+// RunPairWith is RunPair drawing its stand-alone references from refs
+// (nil = simulate them every call). Results are identical either way.
+func RunPairWith(refs *RefMemo, cfg Config, benchmark string, scale Scale) (Results, error) {
 	spec, err := workload.Get(benchmark)
 	if err != nil {
 		return Results{}, fmt.Errorf("hetsim: %w", err)
 	}
-	return core.RunPair(cfg, spec, scale)
+	return refs.RunPair(cfg, spec, scale)
 }
 
 // Experiments regenerates the paper's tables and figures. Zero-value

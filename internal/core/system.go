@@ -869,47 +869,13 @@ func (s *System) deadlockReport(now sim.Cycle) string {
 // reference is a single-core run on the *baseline* DDR3 memory system
 // (with the same prefetcher setting), so that throughput ratios between
 // memory organizations reflect their shared-run behaviour — this is how
-// the paper's normalized figures read.
+// the paper's normalized figures read. ThroughputSelf divides by the
+// organization's own single-core run instead.
+//
+// RunPair simulates both references every call; a sweep shares them
+// across its cells through a RefMemo.
 func RunPair(cfg SystemConfig, spec workload.Spec, scale RunScale) (Results, error) {
-	sharedSys, err := NewSystem(cfg, spec)
-	if err != nil {
-		return Results{}, err
-	}
-	res := sharedSys.Run(scale)
-
-	aloneScale := scale
-	aloneScale.WarmupReads = scale.WarmupReads / 4
-	aloneScale.MeasureReads = scale.MeasureReads / 4
-	// Only the shared run's time-series is interesting; the alone
-	// references exist for one IPC ratio each.
-	aloneScale.EpochInterval = 0
-
-	baseCfg := Baseline(1)
-	baseCfg.Prefetch = cfg.Prefetch
-	baseCfg.Seed = cfg.Seed
-	// The stand-alone references honour the same deadline/cancellation
-	// hook as the shared run, so a cell deadline bounds the whole pair.
-	baseCfg.Cancel = cfg.Cancel
-	baseSys, err := NewSystem(baseCfg, spec)
-	if err != nil {
-		return Results{}, err
-	}
-	alone := baseSys.Run(aloneScale)
-	if len(alone.IPCs) > 0 && alone.IPCs[0] > 0 {
-		res.Throughput = res.SumIPC / alone.IPCs[0]
-	}
-
-	selfCfg := cfg
-	selfCfg.NCores = 1
-	selfSys, err := NewSystem(selfCfg, spec)
-	if err != nil {
-		return Results{}, err
-	}
-	selfAlone := selfSys.Run(aloneScale)
-	if len(selfAlone.IPCs) > 0 && selfAlone.IPCs[0] > 0 {
-		res.ThroughputSelf = res.SumIPC / selfAlone.IPCs[0]
-	}
-	return res, nil
+	return (*RefMemo)(nil).RunPair(cfg, spec, scale)
 }
 
 // csvColumn is one entry of the summary-CSV schema: a column name and

@@ -3,6 +3,7 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hetsim/internal/core"
 	"hetsim/internal/workload"
@@ -286,6 +287,34 @@ func TestRunnerMemoizes(t *testing.T) {
 }
 
 func coreBaseline() core.SystemConfig { return core.Baseline(0) }
+
+// TestRunnerOneWorkerSharesReferences: on a single worker a figure
+// still completes — a pair's stand-alone references run inline in its
+// own slot — and its pairs simulate each benchmark's baseline
+// reference once: one execution per pair (the baseline organization's
+// self reference is the baseline reference), one reuse per pair.
+func TestRunnerOneWorkerSharesReferences(t *testing.T) {
+	opts := testOpts("libquantum", "mcf")
+	opts.Workers = 1
+	r := NewRunner(opts)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Fig6(r)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Minute):
+		t.Fatal("Fig6 on one worker did not finish")
+	}
+	pairs := uint64(r.Stats().Executed)
+	if refs := r.RefStats(); refs.Executed != pairs || refs.Reused != pairs {
+		t.Fatalf("%d pairs: refs %+v, want %d executed and %d reused", pairs, refs, pairs, pairs)
+	}
+}
 
 func TestCmdBusAblationShape(t *testing.T) {
 	r := NewRunner(testOpts("milc"))

@@ -104,6 +104,9 @@ type runKey struct {
 type Runner struct {
 	Opts Options
 	pool *runpool.Pool[runKey, core.Results]
+	// refs shares the pairs' stand-alone references: the baseline one
+	// is the same run for every organization of a benchmark.
+	refs core.RefMemo
 
 	logMu sync.Mutex
 	done  int
@@ -122,6 +125,10 @@ func NewRunner(opts Options) *Runner {
 // how many submissions were deduplicated onto in-flight or memoized
 // runs.
 func (r *Runner) Stats() runpool.Stats { return r.pool.Stats() }
+
+// RefStats reports how many stand-alone references the runner's pairs
+// simulated and how many they reused from an earlier pair.
+func (r *Runner) RefStats() core.RefStats { return r.refs.Stats() }
 
 // Workers reports the effective parallel run bound.
 func (r *Runner) Workers() int { return r.pool.Workers() }
@@ -169,7 +176,7 @@ func (r *Runner) Start(cfg core.SystemConfig, bench string) *runpool.Task[core.R
 			cfg.Cancel = cancel
 		}
 		start := time.Now()
-		res, err := core.RunPair(cfg, spec, r.Opts.Scale)
+		res, err := r.refs.RunPair(cfg, spec, r.Opts.Scale)
 		if err != nil {
 			return core.Results{}, err
 		}

@@ -1,17 +1,19 @@
 // Package lease coordinates N worker processes sharing one directory
 // — no coordinator, no network protocol, just the filesystem the
 // durable run store already lives on. A lease is one JSON file under
-// <dir>/leases/ claimed with an O_EXCL create (atomic on every
-// filesystem the store supports), kept alive by heartbeat renewals,
-// and reclaimable by any worker once its heartbeat has gone stale for
-// a full TTL. Fencing tokens increase monotonically across every
-// claim of a key, so a worker that lost its lease to a reclaim can
-// discover the loss on its next renewal instead of silently fighting
-// the new owner.
+// <dir>/leases/, written to a temp file and hard-linked into place
+// (link fails atomically when the name exists, so a lease file is
+// never visible half-written), kept alive by heartbeat renewals, and
+// reclaimable by any worker once its heartbeat has gone stale for a
+// full TTL. Fencing tokens increase monotonically across every claim
+// of a key, so a worker that lost its lease to a reclaim can discover
+// the loss on its next renewal instead of silently fighting the new
+// owner.
 //
-// The protocol is advisory, not a mutex: the window between reading a
-// stale lease and stealing it can, in pathological scheduling, let two
-// workers briefly hold the same cell. That is safe here by
+// Fresh claims and reclaims each have exactly one winner. The protocol
+// is still advisory, not a mutex: a holder that stalls past its TTL
+// and then renews can overwrite the reclaimer's record, and for a
+// moment both believe they hold the cell. That is safe here by
 // construction — the protected work is idempotent (equal keys produce
 // byte-identical store entries, and store writes are atomic
 // temp+rename), so duplicated work costs time, never correctness. The
@@ -20,6 +22,7 @@
 package lease
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -129,11 +132,13 @@ func (l *Lease) Key() string { return l.key }
 //   - live lease, another owner → ErrHeld
 //   - live lease, our owner → ErrHeld too: re-entrant claims are a
 //     bug in the caller (one cell, one claim), not a feature
-//   - expired or unreadable lease → reclaim it with token+1
+//   - expired lease, or unreadable lease whose file is older than our
+//     TTL → reclaim it with token+1
+//   - unreadable lease younger than our TTL → ErrHeld (lease files are
+//     never written in place, so it is damage, and may still be live)
 //
-// The reclaim path is remove-then-create: between our remove and our
-// create another worker can slip in its own create, in which case we
-// lose the race and report ErrHeld — exactly one reclaimer wins.
+// Of several workers reclaiming the same stale lease exactly one wins;
+// the others report ErrHeld (see reclaim).
 func (m *Manager) TryAcquire(key string) (*Lease, error) {
 	path, err := m.path(key)
 	if err != nil {
@@ -145,53 +150,98 @@ func (m *Manager) TryAcquire(key string) (*Lease, error) {
 		} else if !os.IsExist(err) {
 			return nil, fmt.Errorf("lease: %w", err)
 		}
-		prev, readErr := readRecord(path)
-		if readErr == nil && !m.expired(prev) {
-			return nil, fmt.Errorf("%w (%s, token %d)", ErrHeld, prev.Owner, prev.Token)
-		}
-		if readErr != nil && !os.IsNotExist(readErr) {
-			// Unreadable (torn write from a killed writer): treat like an
-			// expired lease and reclaim it.
-			prev = record{}
-		} else if os.IsNotExist(readErr) {
+		raw, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
 			// Raced a release; loop and claim fresh.
 			continue
-		}
-		// Expired: remove the stale file, then race to install ours with
-		// a bumped fencing token. Losing either step means another
-		// reclaimer won; report held and let the caller back off.
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		} else if err != nil {
 			return nil, fmt.Errorf("lease: %w", err)
 		}
-		if l, err := m.create(key, path, prev.Token+1); err == nil {
-			return l, nil
-		} else if os.IsExist(err) {
-			return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
-		} else {
-			return nil, fmt.Errorf("lease: %w", err)
+		prev, err := parseRecord(path, raw)
+		if err != nil {
+			fi, statErr := os.Stat(path)
+			if statErr != nil || m.now().Sub(fi.ModTime()) <= m.ttl {
+				return nil, fmt.Errorf("%w (%v)", ErrHeld, err)
+			}
+			prev = record{}
+		} else if !m.expired(prev) {
+			return nil, fmt.Errorf("%w (%s, token %d)", ErrHeld, prev.Owner, prev.Token)
 		}
+		return m.reclaim(key, path, raw, prev.Token+1)
 	}
 }
 
-// create installs a fresh lease file with O_EXCL, the atomic claim.
+// create claims an absent lease: the record is written to a temp file
+// and linked into place, which fails with EEXIST when the lease exists.
 func (m *Manager) create(key, path string, token uint64) (*Lease, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	tmp, err := m.writeTemp(token)
 	if err != nil {
 		return nil, err
 	}
-	rec := record{Owner: m.owner, Token: token,
-		HeartbeatUnixNano: m.now().UnixNano(), TTLNano: int64(m.ttl)}
-	b, _ := json.Marshal(rec)
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
+	defer os.Remove(tmp)
+	if err := os.Link(tmp, path); err != nil {
 		return nil, err
 	}
 	return &Lease{m: m, key: key, path: path, Token: token}, nil
+}
+
+// reclaim replaces the lease file, whose contents stale were judged
+// expired, with our record under token. A per-key reclaim ticket
+// (<key>.reclaim, claimed by link like a lease) admits one reclaimer at
+// a time; holding it, the reclaimer re-reads the lease and installs
+// its record with an atomic rename only if the file still holds the
+// stale bytes. So of the workers that saw one stale lease exactly one
+// wins, and a lease claimed in the meantime is never overwritten.
+func (m *Manager) reclaim(key, path string, stale []byte, token uint64) (*Lease, error) {
+	tmp, err := m.writeTemp(token)
+	if err != nil {
+		return nil, fmt.Errorf("lease: %w", err)
+	}
+	defer os.Remove(tmp)
+	ticket := filepath.Join(m.dir, key+".reclaim")
+	if err := os.Link(tmp, ticket); err != nil {
+		if !os.IsExist(err) {
+			return nil, fmt.Errorf("lease: %w", err)
+		}
+		// A ticket outlives its few-microsecond holder only if that
+		// reclaimer died; clear it after a TTL so the key is not stuck.
+		// Two workers clearing one dead ticket at once can let two
+		// reclaimers through — a double fault the idempotent work
+		// tolerates.
+		if fi, err := os.Stat(ticket); err == nil && m.now().Sub(fi.ModTime()) > m.ttl {
+			os.Remove(ticket)
+		}
+		return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
+	}
+	defer os.Remove(ticket)
+	if cur, err := os.ReadFile(path); err != nil || !bytes.Equal(cur, stale) {
+		return nil, fmt.Errorf("%w (lost reclaim race)", ErrHeld)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, fmt.Errorf("lease: %w", err)
+	}
+	return &Lease{m: m, key: key, path: path, Token: token}, nil
+}
+
+// writeTemp writes our record under token to a fresh temp file in the
+// lease directory and returns its path; its errors are unwrapped.
+func (m *Manager) writeTemp(token uint64) (string, error) {
+	rec := record{Owner: m.owner, Token: token,
+		HeartbeatUnixNano: m.now().UnixNano(), TTLNano: int64(m.ttl)}
+	b, _ := json.Marshal(rec)
+	f, err := os.CreateTemp(m.dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(append(b, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // expired reports whether the record's heartbeat is older than the
@@ -209,6 +259,10 @@ func readRecord(path string) (record, error) {
 	if err != nil {
 		return record{}, err
 	}
+	return parseRecord(path, b)
+}
+
+func parseRecord(path string, b []byte) (record, error) {
 	var rec record
 	if err := json.Unmarshal(b, &rec); err != nil {
 		return record{}, fmt.Errorf("lease: corrupt record %s: %w", path, err)
@@ -242,24 +296,12 @@ func (l *Lease) Renew() error {
 	if err := l.stillOurs(); err != nil {
 		return err
 	}
-	rec := record{Owner: l.m.owner, Token: l.Token,
-		HeartbeatUnixNano: l.m.now().UnixNano(), TTLNano: int64(l.m.ttl)}
-	b, _ := json.Marshal(rec)
-	tmp, err := os.CreateTemp(l.m.dir, ".renew-*")
+	tmp, err := l.m.writeTemp(l.Token)
 	if err != nil {
 		return fmt.Errorf("lease: %w", err)
 	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lease: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp, l.path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("lease: %w", err)
 	}
 	return nil

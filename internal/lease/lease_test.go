@@ -127,8 +127,18 @@ func TestExpiredLeaseReclaimBumpsFencingToken(t *testing.T) {
 func TestCorruptLeaseFileIsReclaimable(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, dir, "w1", time.Second, nil)
-	// A torn write from a killed worker: not JSON.
-	if err := os.WriteFile(filepath.Join(dir, "cell.lease"), []byte("garb"), 0o644); err != nil {
+	// A damaged lease file: not JSON. Lease files are never written in
+	// place, so while it is younger than a TTL it may belong to a live
+	// holder; once older it is reclaimable.
+	path := filepath.Join(dir, "cell.lease")
+	if err := os.WriteFile(path, []byte("garb"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TryAcquire("cell"); !errors.Is(err, ErrHeld) {
+		t.Fatalf("fresh corrupt lease: got %v, want ErrHeld", err)
+	}
+	old := time.Now().Add(-2 * time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
 	l, err := m.TryAcquire("cell")
