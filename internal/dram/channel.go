@@ -288,6 +288,23 @@ func (ch *Channel) TryCAS(t sim.Cycle, rk, bk int, row int64, kind AccessKind, a
 	return dataStart, true
 }
 
+// CASReadyAt reports the earliest cycle any CAS of the given kind can
+// issue on rank rk, without side effects. It folds the terms TryCAS
+// shares across the rank's banks: the rank's next-legal cycle (tCCD,
+// tWTR for reads, wake and refresh), the command bus and the data-bus
+// floor. A bank's own terms (open row, tRCD) can only delay a CAS
+// further, so while CASReadyAt(rk, kind) > t every TryCAS of that kind
+// on rk fails at t.
+func (ch *Channel) CASReadyAt(rk int, kind AccessKind) sim.Cycle {
+	r := &ch.ranks[rk]
+	write := kind == AccessWrite
+	at := r.readLegalAt
+	if write {
+		at = r.casLegalAt
+	}
+	return maxc(maxc(at, ch.Cmd.freeAt), ch.casFloor(rk, kind, write))
+}
+
 // TryAccess issues an RLDRAM3-style unified access: the single command
 // carries the whole address, the array access and implicit precharge are
 // gated only by tRC. Valid only for RLDRAM3 channels. The first return
@@ -348,28 +365,45 @@ func (ch *Channel) NextRefreshDue(rk int) sim.Cycle {
 	return ch.ranks[rk].refreshDueAt
 }
 
-// TryRefresh issues an all-bank refresh. All banks must be precharged.
-// On failure next covers only the *timing* constraints (power-state
-// wake, command bus, tRP settling); a next ≤ t means the refresh is
-// blocked on open banks, which the caller must precharge first.
-func (ch *Channel) TryRefresh(t sim.Cycle, rk int) (next sim.Cycle, ok bool) {
+// TryRefresh issues the next command an owed refresh needs on rank rk,
+// in one pass over the rank's banks: the all-bank refresh itself once
+// every bank is precharged (bk = -1), otherwise a precharge of the
+// lowest-numbered open bank that can take one (bk = that bank). On
+// failure nothing changes and next is the earliest cycle after t at
+// which either command could issue: the refresh's timing constraints
+// (power-state wake, command bus, tRP settling of the precharged banks)
+// and every open bank's precharge, whichever is first. A refresh whose
+// timing is met but which waits only on open banks contributes nothing
+// (those banks' precharges are the next step).
+func (ch *Channel) TryRefresh(t sim.Cycle, rk int) (bk int, next sim.Cycle, ok bool) {
 	tm := &ch.Cfg.Timing
 	r := &ch.ranks[rk]
 	if tm.TREFI == 0 {
-		return Never, false
+		return -1, Never, false
 	}
-	next = maxc(t, r.cmdLegalAt) // awake floor, precomputed
-	next = maxc(next, ch.Cmd.freeAt)
-	idle := true
+	floor := maxc(maxc(t, r.cmdLegalAt), ch.Cmd.freeAt) // awake floor, precomputed
+	refAt, preAt, pre := floor, Never, -1
 	for i := range r.banks {
-		if r.banks[i].openRow != -1 {
-			idle = false
-			continue
+		b := &r.banks[i]
+		if b.openRow == -1 {
+			refAt = maxc(refAt, b.canActAt) // recent precharge must settle (tRP)
+		} else if at := maxc(floor, b.canPreAt); at < preAt {
+			preAt, pre = at, i
 		}
-		next = maxc(next, r.banks[i].canActAt) // recent precharge must settle (tRP)
 	}
-	if !idle || next > t {
-		return next, false
+	if pre >= 0 {
+		if preAt > t {
+			if refAt > t && refAt < preAt {
+				preAt = refAt
+			}
+			return -1, preAt, false
+		}
+		ch.Cmd.reserve(t, tm.BusCycle)
+		r.banks[pre].precharge(t, tm)
+		return pre, 0, true
+	}
+	if refAt > t {
+		return -1, refAt, false
 	}
 	ch.Cmd.reserve(t, tm.BusCycle)
 	r.refreshUntil = t + tm.TRFC
@@ -384,7 +418,7 @@ func (ch *Channel) TryRefresh(t sim.Cycle, rk int) (next sim.Cycle, ok bool) {
 		}
 	}
 	ch.Stat.Refreshes++
-	return 0, true
+	return -1, 0, true
 }
 
 // PowerState reports rank rk's current power mode.

@@ -646,9 +646,11 @@ func preOK(ch *Channel, t sim.Cycle, rk, bk int) bool {
 	return ok
 }
 
+// refOK reports whether TryRefresh issued the refresh itself (not a
+// precharge making way for it).
 func refOK(ch *Channel, t sim.Cycle, rk int) bool {
-	_, ok := ch.TryRefresh(t, rk)
-	return ok
+	bk, _, ok := ch.TryRefresh(t, rk)
+	return ok && bk < 0
 }
 
 // TestHintExactness: every failed Try* probe returns the earliest cycle
@@ -772,13 +774,12 @@ func TestHintExactness(t *testing.T) {
 		if !preOK(ch, tm.TRAS, 0, 0) {
 			t.Fatal("precharge at tRAS failed")
 		}
-		next, ok := ch.TryRefresh(tm.TRAS+1, 0)
+		_, next, ok := ch.TryRefresh(tm.TRAS+1, 0)
 		if ok {
 			t.Fatal("refresh legal before tRP settles")
 		}
 		exact(t, "refresh-after-precharge", next, func(at sim.Cycle) bool {
-			_, ok := ch.TryRefresh(at, 0)
-			return ok
+			return refOK(ch, at, 0)
 		})
 	})
 
@@ -814,7 +815,7 @@ func TestHintExactness(t *testing.T) {
 		if !ch.RefreshDue(due, 0) {
 			t.Fatal("refresh not due at NextRefreshDue")
 		}
-		if _, ok := ch.TryRefresh(due, 0); !ok {
+		if !refOK(ch, due, 0) {
 			t.Fatal("refresh failed at its due cycle on an idle rank")
 		}
 		if got := ch.NextRefreshDue(0); got != due+tm.TREFI {
@@ -828,5 +829,114 @@ func mustAct(t *testing.T, ch *Channel, at sim.Cycle, rk, bk int, row int64) {
 	t.Helper()
 	if !actOK(ch, at, rk, bk, row) {
 		t.Fatalf("ACT r%d b%d row%d at %d failed", rk, bk, row, at)
+	}
+}
+
+// Property: CASReadyAt is the rank-wide part of TryCAS. Across random
+// command interleavings on two ranks, whenever an open bank's CAS
+// deadline — the gate, plus tRCD for reads — lies after now, TryCAS of
+// that kind fails there and reports exactly that deadline, so a
+// scheduler may fold one such probe per bank for all its row hits.
+func TestCASReadyAtGatesTryCAS(t *testing.T) {
+	type op struct {
+		Dt   uint8
+		Rank bool
+		Bank uint8
+		Row  uint8
+		Wr   bool
+	}
+	f := func(ops []op) bool {
+		ch := NewChannel(DDR3Config(), 2, nil)
+		now := sim.Cycle(0)
+		for _, o := range ops {
+			for rk := 0; rk < ch.Ranks(); rk++ {
+				for _, kind := range []AccessKind{AccessRead, AccessWrite} {
+					gate := ch.CASReadyAt(rk, kind)
+					for bk := 0; bk < ch.Cfg.Geom.Banks; bk++ {
+						open := ch.OpenRow(rk, bk)
+						if open == -1 {
+							continue
+						}
+						want := maxc(now, gate)
+						if kind == AccessRead {
+							want = maxc(want, ch.ranks[rk].banks[bk].canReadAt)
+						}
+						if want <= now {
+							continue
+						}
+						if next, ok := ch.TryCAS(now, rk, bk, open, kind, false); ok || next != want {
+							t.Logf("t=%d r%d b%d kind %d: TryCAS (%d, %v), want fail at %d", now, rk, bk, kind, next, ok, want)
+							return false
+						}
+					}
+				}
+			}
+			now += sim.Cycle(o.Dt)
+			rk := 0
+			if o.Rank {
+				rk = 1
+			}
+			bk := int(o.Bank) % ch.Cfg.Geom.Banks
+			row := int64(o.Row % 4)
+			kind := AccessRead
+			if o.Wr {
+				kind = AccessWrite
+			}
+			switch open := ch.OpenRow(rk, bk); {
+			case ch.RefreshDue(now, rk):
+				ch.TryRefresh(now, rk)
+			case open == -1:
+				actOK(ch, now, rk, bk, row)
+			case open == row:
+				ch.TryCAS(now, rk, bk, row, kind, false)
+			default:
+				preOK(ch, now, rk, bk)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTryRefreshPrechargesThenRefreshes: an owed refresh on a rank with
+// open banks precharges them lowest bank first, one command per call,
+// and every failed call reports the exact cycle its next command can
+// issue — the refresh itself once all banks are closed and tRP settles.
+func TestTryRefreshPrechargesThenRefreshes(t *testing.T) {
+	ch := newDDR3(t)
+	tm := ch.Cfg.Timing
+	mustAct(t, ch, 0, 0, 3, 7)
+	mustAct(t, ch, tm.TRRD, 0, 1, 9)
+	at := tm.TREFI
+	step := func(wantBank int) {
+		t.Helper()
+		bk, next, ok := ch.TryRefresh(at, 0)
+		if !ok {
+			if next <= at {
+				t.Fatalf("t=%d: TryRefresh failed with hint %d", at, next)
+			}
+			if bk2, _, ok := ch.TryRefresh(next-1, 0); ok {
+				t.Fatalf("t=%d: TryRefresh issued (bank %d) before its hint %d", next-1, bk2, next)
+			}
+			at = next
+			bk, _, ok = ch.TryRefresh(at, 0)
+			if !ok {
+				t.Fatalf("t=%d: TryRefresh failed at its own hint", at)
+			}
+		}
+		if bk != wantBank {
+			t.Fatalf("t=%d: TryRefresh issued for bank %d, want %d", at, bk, wantBank)
+		}
+	}
+	step(1)
+	if ch.OpenRow(0, 1) != -1 || ch.OpenRow(0, 3) != 7 {
+		t.Fatalf("after first step open rows b1=%d b3=%d", ch.OpenRow(0, 1), ch.OpenRow(0, 3))
+	}
+	step(3) // the command bus is busy at the same cycle: waits one bus cycle
+	step(-1)
+	if ch.Stat.Refreshes != 1 || !ch.ranks[0].allBanksIdle() {
+		t.Fatalf("refreshes %d, banks idle %v", ch.Stat.Refreshes, ch.ranks[0].allBanksIdle())
 	}
 }

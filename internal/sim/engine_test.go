@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -391,5 +392,42 @@ func TestInDispatch(t *testing.T) {
 	}
 	if eng.InDispatch() {
 		t.Fatal("InDispatch stuck true after dispatch")
+	}
+}
+
+// TestGeomMatchesGeometric: Geom.Draw returns bit-identical values to
+// the two-logarithm inverse CDF Geometric has always used, over many
+// means (zero, negative, tiny, fractional, huge) and seeds, and leaves
+// the generator in the same state.
+func TestGeomMatchesGeometric(t *testing.T) {
+	reference := func(r *RNG, mean float64) int {
+		if mean <= 0 {
+			return 0
+		}
+		p := 1 / (1 + mean)
+		g := int(math.Log(1-r.Float64()) / math.Log(1-p))
+		if g < 0 {
+			g = 0
+		}
+		return g
+	}
+	means := []float64{-3, 0, 1e-9, 0.25, 0.5, 1, 2, 5, 7.5, 12, 340, 1e4, 1e12}
+	for seed := uint64(0); seed < 40; seed++ {
+		for _, mean := range means {
+			g := NewGeom(mean)
+			a, b, c := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+			for i := 0; i < 500; i++ {
+				want := reference(a, mean)
+				if got := g.Draw(b); got != want {
+					t.Fatalf("seed %d mean %g draw %d: Geom %d, reference %d", seed, mean, i, got, want)
+				}
+				if got := c.Geometric(mean); got != want {
+					t.Fatalf("seed %d mean %g draw %d: Geometric %d, reference %d", seed, mean, i, got, want)
+				}
+			}
+			if a.state != b.state || a.state != c.state {
+				t.Fatalf("seed %d mean %g: generator states diverged", seed, mean)
+			}
+		}
 	}
 }

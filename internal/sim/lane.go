@@ -281,7 +281,7 @@ func (l *Lane) schedule(when Cycle, phase uint64, h EventHandler, arg any) {
 		e.seq++
 		ev := event{when: when, seq: e.seq, phase: phase, h: h, arg: arg}
 		if l.id < 0 {
-			e.push(ev)
+			e.qPush(ev) // near events take the wheel, as on the engine's own calls
 		} else {
 			heapPush(&l.pq, ev)
 		}

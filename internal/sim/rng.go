@@ -78,16 +78,37 @@ func (r *RNG) Zipf(n int, s float64) int {
 // Geometric returns a non-negative value with mean approximately mean,
 // drawn from a geometric distribution. Used for gap lengths between
 // memory operations. A mean <= 0 always returns 0.
-func (r *RNG) Geometric(mean float64) int {
+func (r *RNG) Geometric(mean float64) int { return NewGeom(mean).Draw(r) }
+
+// Geom is a geometric distribution of fixed mean for repeated draws: it
+// computes the inverse CDF's log(1-p) term once, so a draw costs one
+// logarithm instead of two. Draw returns exactly what Geometric(mean)
+// returns from the same generator state.
+type Geom struct {
+	mean float64
+	logQ float64 // math.Log(1-p), p = 1/(1+mean)
+}
+
+// NewGeom prepares draws with the given mean.
+func NewGeom(mean float64) Geom {
 	if mean <= 0 {
-		return 0
+		return Geom{mean: mean}
 	}
 	p := 1 / (1 + mean)
+	return Geom{mean: mean, logQ: math.Log(1 - p)}
+}
+
+// Draw returns the next value from r. A mean <= 0 always returns 0
+// without consuming randomness.
+func (g Geom) Draw(r *RNG) int {
+	if g.mean <= 0 {
+		return 0
+	}
 	u := r.Float64()
 	// Inverse CDF of the geometric distribution on {0,1,2,...}.
-	g := int(math.Log(1-u) / math.Log(1-p))
-	if g < 0 {
-		g = 0
+	n := int(math.Log(1-u) / g.logQ)
+	if n < 0 {
+		n = 0
 	}
-	return g
+	return n
 }

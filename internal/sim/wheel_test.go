@@ -98,3 +98,28 @@ func TestWheelZeroAlloc(t *testing.T) {
 		t.Fatalf("wheel push/pop allocated %.1f times per rotation, want 0", avg)
 	}
 }
+
+// TestMainLaneUsesWheel: an event scheduled through the main-lane proxy
+// inside the wheel window lands in the wheel, exactly as one scheduled
+// on the engine directly; a far one goes to the heap. Both still fire
+// in (when, phase, seq) order.
+func TestMainLaneUsesWheel(t *testing.T) {
+	var e Engine
+	ln := e.MainLane()
+	var got []int
+	ln.ScheduleEventAt(wheelSpan+10, funcRunner, func() { got = append(got, 3) })
+	ln.SchedulePhasedAt(5, e.NewPhase(), phasedFunc{}, func() { got = append(got, 2) })
+	ln.ScheduleEventAt(5, funcRunner, func() { got = append(got, 1) })
+	if e.wcount != 2 || len(e.pq) != 1 {
+		t.Fatalf("wheel holds %d and heap %d events, want 2 and 1", e.wcount, len(e.pq))
+	}
+	e.RunUntil(2 * wheelSpan)
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("fire order %v, want [1 2 3]", got)
+	}
+}
+
+// phasedFunc runs a func() arg as a phased event.
+type phasedFunc struct{ funcEvent }
+
+func (phasedFunc) OnPhasedEvent(arg any, _ uint64) { arg.(func())() }

@@ -30,6 +30,10 @@ type Generator struct {
 	curLine uint64
 	runLeft int
 
+	// The spec's three geometric draws, with their log terms computed
+	// once: memory-op gap, sequential run length, reuse gap.
+	gap, seqRun, reuseGap sim.Geom
+
 	// pending is a fixed ring of reuse accesses waiting to mature: a
 	// slice that pops from the front loses capacity and re-allocates on
 	// every push, which the hot path cannot afford.
@@ -63,6 +67,10 @@ func NewGenerator(spec Spec, coreID, nCores int, base uint64, seed uint64) *Gene
 		spec: spec,
 		rng:  sim.NewRNG(seed ^ uint64(coreID)*0x9e3779b97f4a7c15 ^ hash64(uint64(len(spec.Name)))),
 		base: base,
+
+		gap:      sim.NewGeom(spec.GapMean),
+		seqRun:   sim.NewGeom(spec.SeqRun - 1),
+		reuseGap: sim.NewGeom(spec.ReuseGapMean),
 	}
 	if spec.Multithreaded && nCores > 1 {
 		g.lines = total / uint64(nCores)
@@ -149,7 +157,7 @@ func (g *Generator) jump() {
 	}
 	p := uint64(g.rng.Zipf(pages, g.spec.PageZipf))
 	g.curLine = g.part + p*LinesPerPage + uint64(g.rng.Intn(LinesPerPage))
-	g.runLeft = 1 + g.rng.Geometric(g.spec.SeqRun-1)
+	g.runLeft = 1 + g.seqRun.Draw(g.rng)
 }
 
 // addr builds the byte address for (line, word), wrapping within the
@@ -185,7 +193,7 @@ func (g *Generator) Next() cpu.MemOp {
 
 	sp := &g.spec
 	op := cpu.MemOp{
-		Gap:   g.rng.Geometric(sp.GapMean),
+		Gap:   g.gap.Draw(g.rng),
 		Store: g.rng.Bool(sp.StoreFrac),
 	}
 
@@ -217,7 +225,7 @@ func (g *Generator) Next() cpu.MemOp {
 		op.DepPrev = !op.Store
 		lineIdx = g.part + uint64(g.rng.Intn(int(g.lines)))
 		g.curLine = lineIdx
-		g.runLeft = 1 + g.rng.Geometric(sp.SeqRun-1)
+		g.runLeft = 1 + g.seqRun.Draw(g.rng)
 	default:
 		if g.runLeft <= 0 {
 			g.jump()
@@ -242,7 +250,7 @@ func (g *Generator) Next() cpu.MemOp {
 		gapOps := 1 + int(sp.ReuseGapMean/(sp.GapMean+1))
 		g.pending[(g.pendHead+g.pendCount)&7] = delayed{
 			op: cpu.MemOp{
-				Gap:   g.rng.Geometric(sp.ReuseGapMean),
+				Gap:   g.reuseGap.Draw(g.rng),
 				Addr:  g.addr(lineIdx, w2),
 				Store: g.rng.Bool(sp.StoreFrac),
 			},
