@@ -1,11 +1,11 @@
 # Verify path for the hetsim repro. `make verify` is what CI (and the
 # per-PR tier-1 gate) should run: build + vet + tests + the race
-# detector over the whole module, including the parallel-engine
-# determinism and stress tests.
+# detector over the whole module, including the run-pool determinism
+# and stress tests.
 
 GO ?= go
 
-.PHONY: build vet test race fuzz faults topologies bench sweepd chaos profile profile-parallel verify
+.PHONY: build vet test race fuzz faults topologies bench sweepd chaos profile verify
 
 build:
 	$(GO) build ./...
@@ -71,13 +71,5 @@ profile:
 	$(GO) run ./cmd/experiments -only fig6 -benchmarks libquantum,mcf -scale test \
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof"
-
-# The same profiles under lane-parallel execution. Expect runtime
-# scheduler frames (park/unpark around the window barriers); see
-# DESIGN.md "Profiling the simulator" for how to read them.
-profile-parallel:
-	$(GO) run ./cmd/experiments -only fig6 -benchmarks libquantum,mcf -scale test \
-		-parallel -cpuprofile cpu-parallel.pprof -memprofile mem-parallel.pprof > /dev/null
-	@echo "wrote cpu-parallel.pprof and mem-parallel.pprof"
 
 verify: build vet test race

@@ -46,37 +46,6 @@ func TestAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestParallelZeroAlloc pins the lane-parallel kernel under 2x the
-// serial budget. Run-scoped lane setup (two goroutines, their
-// preallocated hand-off buffers, the merge scratch) is a bounded
-// one-time cost, and the steady state must stay allocation-free just
-// like the serial kernel: in-window events go through each lane's
-// reused queue and push log, cross-domain effects through the engine's
-// reused merge buffer, and requests through the per-domain pools.
-// Anything per-window or per-event blows the ceiling immediately.
-func TestParallelZeroAlloc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-system run; skipped in -short mode")
-	}
-	cfg := hetsim.RL(8)
-	cfg.Parallel = true
-	avg := testing.AllocsPerRun(1, func() {
-		sys, err := hetsim.NewSystem(cfg, "libquantum")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sys.Run(hetsim.Scale{WarmupReads: 500, MeasureReads: 5000,
-			MaxCycles: 50_000_000, EpochInterval: 10_000})
-		if res.DemandReads < 5000 {
-			t.Fatalf("run too short: %d reads", res.DemandReads)
-		}
-	})
-	if avg > 2*allocBudget {
-		t.Fatalf("parallel run allocated %.0f objects, budget %d (2x serial); "+
-			"lane execution has picked up per-window allocation", avg, 2*allocBudget)
-	}
-}
-
 // TestFaultLayerZeroAlloc pins the armed-but-idle fault layer under the
 // same budget: an injector with all rates zero and a never-due schedule
 // entry must add no steady-state allocation to the read path (its only

@@ -353,16 +353,7 @@ func BenchmarkTelemetry(b *testing.B) {
 // so CI can execute one iteration cheaply and catch harness rot; the
 // recorded baselines come from full-mode runs only.
 func BenchmarkSimulatorSpeed(b *testing.B) {
-	benchSimulatorSpeed(b, false)
-}
-
-// BenchmarkSystemParallelSpeed is the same run with the crit and line
-// controller domains on separate event lanes (SystemConfig.Parallel).
-// Compare against BenchmarkSimulatorSpeed to read the lane speedup; on
-// a single-core host the handoff overhead makes this a regression, so
-// the recorded numbers state the core count.
-func BenchmarkSystemParallelSpeed(b *testing.B) {
-	benchSimulatorSpeed(b, true)
+	benchSimulatorSpeed(b)
 }
 
 // benchScale is the measured window of the simulator-speed family:
@@ -374,7 +365,7 @@ func benchScale() hetsim.Scale {
 	return hetsim.Scale{WarmupReads: 500, MeasureReads: 5000, MaxCycles: 50_000_000}
 }
 
-func benchSimulatorSpeed(b *testing.B, parallel bool) {
+func benchSimulatorSpeed(b *testing.B) {
 	b.ReportAllocs()
 	var reads uint64
 	// Each iteration needs a fresh system (Run consumes it), but
@@ -385,34 +376,7 @@ func benchSimulatorSpeed(b *testing.B, parallel bool) {
 	b.StopTimer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := hetsim.RL(8)
-		cfg.Parallel = parallel
-		sys, err := hetsim.NewSystem(cfg, "libquantum")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		res := sys.Run(benchScale())
-		b.StopTimer()
-		reads += res.DemandReads
-	}
-	b.ReportMetric(float64(reads)/float64(b.N), "reads")
-	b.ReportMetric(float64(reads)/b.Elapsed().Seconds(), "reads/sec")
-}
-
-// BenchmarkSystemParallelDL exercises the lane loop's barrier path: DL's
-// DDR3 critical channel refreshes, so every window is capped by a
-// maintenance deadline.
-func BenchmarkSystemParallelDL(b *testing.B) {
-	b.ReportAllocs()
-	var reads uint64
-	// Construction outside the timed region, as in benchSimulatorSpeed.
-	b.StopTimer()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := hetsim.DL(8)
-		cfg.Parallel = true
-		sys, err := hetsim.NewSystem(cfg, "libquantum")
+		sys, err := hetsim.NewSystem(hetsim.RL(8), "libquantum")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,7 +38,6 @@ func main() {
 	workers := flag.Int("j", 0, "parallel simulation runs (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	cacheDir := flag.String("cache-dir", "", "durable run cache directory: hit entries replace simulations, output stays byte-identical")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries past this total size (0 = unlimited; needs -cache-dir)")
-	parallel := flag.Bool("parallel", false, "run crit/line channel controllers on separate goroutines where the organization permits (output is byte-identical)")
 	faultSpec := flag.String("faults", "", `fault environment applied to every run, e.g. "crit.bit=1e-4; line.bit=1e-4; @1000 chipkill line 0 3"`)
 	faultSeed := flag.Uint64("fault-seed", 0, "override the fault-injection RNG seed (with -faults)")
 	verbose := flag.Bool("v", false, "log each run")
@@ -99,7 +98,7 @@ func main() {
 	}
 	scale.EpochInterval = sim.Cycle(*epochInterval)
 	opts := exp.Options{Scale: scale, NCores: *cores, Seed: *seed,
-		Workers: *workers, Parallel: *parallel}
+		Workers: *workers}
 	var cache *store.Store
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)

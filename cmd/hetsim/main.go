@@ -49,8 +49,6 @@ func main() {
 	epochInterval := flag.Int64("epoch-interval", 0, "sample telemetry every N cycles of the measured window (0 = off)")
 	epochCSV := flag.String("epoch-csv", "", "stream the per-epoch time-series as CSV to this file (needs -epoch-interval)")
 	epochJSONL := flag.String("epoch-jsonl", "", "stream the per-epoch time-series as JSON lines to this file (needs -epoch-interval)")
-	parallel := flag.Bool("parallel", false, "run channel-controller bus groups on separate goroutines where the organization permits (output is byte-identical)")
-	verbose := flag.Bool("v", false, "print run detail: lane-parallel eligibility (or the serial-fallback reason)")
 	flag.Parse()
 
 	if *list {
@@ -71,7 +69,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	cfg.Parallel = *parallel
 	scale, err := scaleByName(*scaleName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetsim:", err)
@@ -119,33 +116,10 @@ func main() {
 		return mk(f)
 	}
 
-	// laneReport renders the -v lane-parallel line from a built system:
-	// the serial-fallback reason when the organization is ineligible,
-	// engagement status otherwise.
-	laneReport := func(sys *hetsim.System) string {
-		if fb := sys.ParallelFallback(); fb != "" {
-			if *parallel {
-				return "serial fallback: " + fb + " (-parallel requested)"
-			}
-			return "serial fallback: " + fb
-		}
-		if *parallel {
-			return "engaged"
-		}
-		return "eligible (engage with -parallel)"
-	}
-	laneLine := ""
-
 	var res hetsim.Results
 	if *pair {
-		// RunPair builds its systems internally; probe eligibility on a
-		// throwaway build and write the recorded series after the fact
-		// instead of streaming.
-		if *verbose {
-			if probe, perr := hetsim.NewSystem(cfg, *bench); perr == nil {
-				laneLine = laneReport(probe)
-			}
-		}
+		// RunPair builds its systems internally; write the recorded
+		// series after the fact instead of streaming.
 		res, err = hetsim.RunPair(cfg, *bench, scale)
 		if err == nil && res.Epochs != nil {
 			if *epochCSV != "" {
@@ -184,9 +158,6 @@ func main() {
 		var sys *hetsim.System
 		sys, err = hetsim.NewSystem(cfg, *bench)
 		if err == nil {
-			if *verbose {
-				laneLine = laneReport(sys)
-			}
 			if *epochCSV != "" {
 				sys.AddEpochSink(openSink(*epochCSV, hetsim.NewEpochCSVSink))
 			}
@@ -213,9 +184,6 @@ func main() {
 
 	fmt.Printf("benchmark            %s\n", res.Benchmark)
 	fmt.Printf("config               %s\n", res.Config)
-	if laneLine != "" {
-		fmt.Printf("parallel lanes       %s\n", laneLine)
-	}
 	fmt.Printf("cycles               %d\n", res.Cycles)
 	fmt.Printf("demand DRAM reads    %d\n", res.DemandReads)
 	fmt.Printf("sum IPC              %.3f\n", res.SumIPC)

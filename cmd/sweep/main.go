@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("j", 0, "parallel grid points (0 = GOMAXPROCS, 1 = serial; output is identical)")
 	cacheDir := fs.String("cache-dir", "", "durable run cache directory: hit entries replace simulations, output stays byte-identical")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries past this total size (0 = unlimited; needs -cache-dir)")
-	parallel := fs.Bool("parallel", false, "run crit/line channel controllers on separate goroutines where the organization permits (output is byte-identical)")
 	epochInterval := fs.Int64("epoch-interval", 0, "sample telemetry every N cycles of each measured window (0 = off)")
 	epochCSV := fs.String("epoch-csv", "", "write the per-epoch time-series as CSV to this file (needs -epoch-interval)")
 	epochJSONL := fs.String("epoch-jsonl", "", "write the per-epoch time-series as JSON lines to this file (needs -epoch-interval)")
@@ -138,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		cfg.Parallel = *parallel
 		cfg.Faults = baseFaults
 		runScale := scale
 		if err := grid.Apply(&cfg, &runScale, *param, vs); err != nil {

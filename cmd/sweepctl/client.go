@@ -29,7 +29,6 @@ type jobSpec struct {
 	Cores         int      `json:"cores,omitempty"`
 	Pair          bool     `json:"pair,omitempty"`
 	EpochInterval int64    `json:"epoch_interval,omitempty"`
-	Parallel      bool     `json:"parallel,omitempty"`
 }
 
 type jobStatus struct {
@@ -200,7 +199,6 @@ func (c *client) cmdSubmit(ctx context.Context, args []string, out io.Writer) er
 	scale := fs.String("scale", "test", "run scale (quick|test|bench|paper)")
 	cores := fs.Int("cores", 8, "simulated cores")
 	pair := fs.Bool("pair", false, "run shared+alone pairs (weighted speedup)")
-	parallel := fs.Bool("parallel", false, "lane-parallel cell execution")
 	epoch := fs.Int64("epoch-interval", 0, "per-epoch sampling interval in cycles (0 = off)")
 	wait := fs.Bool("wait", false, "block until the job finishes")
 	if err := fs.Parse(args); err != nil {
@@ -215,7 +213,6 @@ func (c *client) cmdSubmit(ctx context.Context, args []string, out io.Writer) er
 		Scale:         strings.ToLower(*scale),
 		Cores:         *cores,
 		Pair:          *pair,
-		Parallel:      *parallel,
 		EpochInterval: *epoch,
 	}
 	if err := validateSpec(spec); err != nil {

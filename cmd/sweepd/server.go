@@ -44,10 +44,6 @@ type JobSpec struct {
 	Cores         int      `json:"cores,omitempty"`
 	Pair          bool     `json:"pair,omitempty"`
 	EpochInterval int64    `json:"epoch_interval,omitempty"`
-	// Parallel selects lane-parallel execution for each cell. Output is
-	// byte-identical to serial and the store key does not include it, so
-	// serial and parallel jobs share cache entries.
-	Parallel bool `json:"parallel,omitempty"`
 }
 
 // normalize fills defaults and canonicalizes free-form fields so that
@@ -396,7 +392,6 @@ func buildCells(spec JobSpec) ([]*cell, error) {
 				return nil, err
 			}
 		}
-		cfg.Parallel = spec.Parallel
 		runScale := scale
 		if spec.Param != "" {
 			if err := grid.Apply(&cfg, &runScale, spec.Param, v); err != nil {

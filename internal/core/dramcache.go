@@ -18,14 +18,6 @@ import (
 // from the hierarchy's perspective (write-backs always reach the far
 // tier, plus the cache tier when the line is resident), so evictions
 // never generate dirty traffic.
-//
-// The backend is lane-eligible: every channel (cache tier and far
-// tier alike) owns a private command bus, so each controller forms its
-// own bus group and advances on its own event lane under Parallel
-// configs. Cross-tier interaction happens exclusively in main context —
-// IssueFill routes on the resident tag before any lane runs, and the
-// install write of farDone is enqueued from the completion event on the
-// main queue — so no lane ever reads another tier's in-window state.
 type dramCacheBackend struct {
 	eng       *sim.Engine
 	cacheCtrl []*memctrl.Controller
@@ -79,9 +71,7 @@ func newDRAMCache(eng *sim.Engine, cacheCfg dram.Config, nCache, capMB int, farC
 		mc := memctrl.DefaultConfig(cacheCfg.Kind)
 		mc.DeepSleep = deepSleep
 		ctrl := memctrl.New(eng, ch, mc)
-		// Per-controller pools: posted writes return their request from
-		// inside the owning controller's lane, and every controller here
-		// may run on its own lane (see laneFallback).
+		// Per-controller pools, as in the CWF backend.
 		ctrl.Pool = new(memctrl.Pool)
 		b.cacheChan = append(b.cacheChan, ch)
 		b.cacheCtrl = append(b.cacheCtrl, ctrl)
@@ -150,15 +140,11 @@ func (b *dramCacheBackend) CanAcceptPrefetch(lineAddr uint64) bool {
 
 // hitIssued schedules critical-beat delivery of a cache-tier read: the
 // burst is reordered so the requested word leads, as on any
-// conventional line channel. It runs in the issuing controller's lane
-// context (OnIssue fires inside the dispatch), so the deliveries go
-// through that controller's lane as cross-domain emissions — the beat
-// is at least TRL+1 past the issue cycle, the lane's lookahead.
+// conventional line channel.
 func (b *dramCacheBackend) hitIssued(r *memctrl.Request) {
 	beat := firstBeat(r, b.cacheChan[r.Tag])
-	ln := b.cacheCtrl[r.Tag].Ln
-	ln.ScheduleMainEventAt(beat, b.critH, r)
-	ln.ScheduleMainEventAt(beat, b.reqWordH, r)
+	b.eng.ScheduleEventAt(beat, b.critH, r)
+	b.eng.ScheduleEventAt(beat, b.reqWordH, r)
 }
 
 func (b *dramCacheBackend) hitDone(r *memctrl.Request) {
@@ -168,9 +154,8 @@ func (b *dramCacheBackend) hitDone(r *memctrl.Request) {
 // farIssued schedules critical-beat delivery of a far-tier read.
 func (b *dramCacheBackend) farIssued(r *memctrl.Request) {
 	beat := firstBeat(r, b.farChan[r.Tag])
-	ln := b.farCtrl[r.Tag].Ln
-	ln.ScheduleMainEventAt(beat, b.critH, r)
-	ln.ScheduleMainEventAt(beat, b.reqWordH, r)
+	b.eng.ScheduleEventAt(beat, b.critH, r)
+	b.eng.ScheduleEventAt(beat, b.reqWordH, r)
 }
 
 // farDone installs the missed line into its set (claiming it from
@@ -264,24 +249,3 @@ func (b *dramCacheBackend) IssueWriteback(lineAddr uint64) bool {
 func (b *dramCacheBackend) DegradeCrit() {}
 
 func (b *dramCacheBackend) Groups() []ChannelGroup { return b.groups }
-
-// allCtrls lists every controller in the fixed cache-then-far order the
-// lane partition is derived from.
-func (b *dramCacheBackend) allCtrls() []*memctrl.Controller {
-	out := make([]*memctrl.Controller, 0, len(b.cacheCtrl)+len(b.farCtrl))
-	out = append(out, b.cacheCtrl...)
-	return append(out, b.farCtrl...)
-}
-
-// laneFallback reports why the organization cannot run on event lanes
-// ("" when it can). The tiers interact only in main context (tag
-// routing at IssueFill, the install write at farDone), so every bus
-// group — here one per channel, since all buses are private — may
-// advance on its own lane.
-func (b *dramCacheBackend) laneFallback() string { return laneFallbackOf(b.allCtrls()) }
-
-// parallelizable mirrors cwfBackend's affirmative spelling.
-func (b *dramCacheBackend) parallelizable() bool { return b.laneFallback() == "" }
-
-// enableParallel moves every bus group onto its own event lane.
-func (b *dramCacheBackend) enableParallel() { enableLanes(b.eng, b.allCtrls()) }

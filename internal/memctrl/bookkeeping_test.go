@@ -34,22 +34,22 @@ func checkBookkeeping(t *testing.T, c *Controller) {
 			masked := q.hitMask[bi>>6]>>uint(bi&63)&1 == 1
 			if bq.nHit != hits || masked != (hits > 0) {
 				t.Fatalf("cycle %d queue %d bank %d: nHit %d (mask %x), recount %d (open row %d)",
-					c.Ln.Now(), qi, bi, bq.nHit, q.hitMask, hits, open)
+					c.Eng.Now(), qi, bi, bq.nHit, q.hitMask, hits, open)
 			}
 			if bq.oldestDemand != demand {
 				t.Fatalf("cycle %d queue %d bank %d: oldestDemand %p, recount %p",
-					c.Ln.Now(), qi, bi, bq.oldestDemand, demand)
+					c.Eng.Now(), qi, bi, bq.oldestDemand, demand)
 			}
 			if (bq.head != nil) != (bq.activePos >= 0) {
 				t.Fatalf("cycle %d queue %d bank %d: activePos %d with head %p",
-					c.Ln.Now(), qi, bi, bq.activePos, bq.head)
+					c.Eng.Now(), qi, bi, bq.activePos, bq.head)
 			}
 			if bq.head != nil {
 				active++
 			}
 		}
 		if active != len(q.active) {
-			t.Fatalf("cycle %d queue %d: %d non-empty banks, active set %d", c.Ln.Now(), qi, active, len(q.active))
+			t.Fatalf("cycle %d queue %d: %d non-empty banks, active set %d", c.Eng.Now(), qi, active, len(q.active))
 		}
 	}
 }

@@ -125,13 +125,6 @@ type Stat struct {
 // methods must be called from engine context (single-threaded).
 type Controller struct {
 	Eng *sim.Engine
-	// Ln is the event lane all of this controller's own events run on.
-	// It defaults to the engine's main-queue proxy (serial semantics);
-	// a parallel backend moves the controller onto a domain lane with
-	// SetLane. Completions still land on the main queue (they are
-	// cross-domain hand-offs to the hierarchy), and maintenance events
-	// are lane barriers: they dispatch out-of-window on the main queue.
-	Ln  *sim.Lane
 	Ch  *dram.Channel
 	Map AddressMapper
 	Cfg Config
@@ -161,7 +154,7 @@ type Controller struct {
 	// all session ticks land on the grid anchor+k*busCycle, mirroring
 	// the cycles the per-cycle reference would tick at. sessPhase
 	// orders this session's ticks against other controllers' same-cycle
-	// ticks (engine phase lane) and invalidates stale tick events from
+	// ticks (engine phase order) and invalidates stale tick events from
 	// superseded arming; nextTickAt is the earliest armed tick.
 	anchor     sim.Cycle
 	nextTickAt sim.Cycle
@@ -180,7 +173,6 @@ type Controller struct {
 	hitBanks  []int32 // row-hit banks whose rank's CAS gate is open
 	seqCtr    uint64
 	geomBanks int
-	maintSlot int // lane barrier slot for maintenance deadlines
 
 	// Channel predicates fixed at construction: RLDRAM-style unified
 	// access (no open rows) and the close-page auto-precharge policy.
@@ -200,8 +192,8 @@ type Controller struct {
 }
 
 // tickDispatch adapts the scheduling step to the engine's handler
-// interfaces: OnEvent for the per-cycle reference mode (normal event
-// lane) and OnPhasedEvent for tick-skipping sessions (phase lane, with
+// interfaces: OnEvent for the per-cycle reference mode (normal events)
+// and OnPhasedEvent for tick-skipping sessions (phased events, with
 // stale-event filtering).
 type tickDispatch struct{ c *Controller }
 
@@ -264,8 +256,6 @@ func New(eng *sim.Engine, ch *dram.Channel, cfg Config) *Controller {
 		unified:   ch.Cfg.Unified(),
 		closePage: ch.Cfg.Policy == dram.ClosePage,
 	}
-	c.Ln = eng.MainLane()
-	c.maintSlot = -1
 	c.rdq.init(nBanks)
 	c.wrq.init(nBanks)
 	c.tickH = tickDispatch{c}
@@ -273,13 +263,6 @@ func New(eng *sim.Engine, ch *dram.Channel, cfg Config) *Controller {
 	c.sleepH = sleepDispatch{c}
 	c.compH = completeDispatch{c}
 	return c
-}
-
-// SetLane moves the controller's own events onto a parallel domain lane.
-// Call before any request has been enqueued.
-func (c *Controller) SetLane(ln *sim.Lane) {
-	c.Ln = ln
-	c.maintSlot = ln.AddBarrierSlot()
 }
 
 // bankIndex flattens a coordinate to the per-bank queue index.
@@ -318,7 +301,7 @@ func (c *Controller) EnqueueRead(r *Request) bool {
 		return false
 	}
 	r.Kind = dram.AccessRead
-	r.Arrive = c.Ln.Now()
+	r.Arrive = c.Eng.Now()
 	r.Coord = c.Map.Map(r.Addr)
 	r.seqNo = c.seqCtr
 	c.seqCtr++
@@ -335,7 +318,7 @@ func (c *Controller) EnqueueWrite(r *Request) bool {
 		return false
 	}
 	r.Kind = dram.AccessWrite
-	r.Arrive = c.Ln.Now()
+	r.Arrive = c.Eng.Now()
 	r.Coord = c.Map.Map(r.Addr)
 	r.seqNo = c.seqCtr
 	c.seqCtr++
@@ -348,7 +331,7 @@ func (c *Controller) EnqueueWrite(r *Request) bool {
 // wakeRank begins power-down exit if needed.
 func (c *Controller) wakeRank(rk int) {
 	if c.Ch.PowerState(rk) != dram.PSActive {
-		c.Ch.Wake(c.Ln.Now(), rk)
+		c.Ch.Wake(c.Eng.Now(), rk)
 	}
 }
 
@@ -369,13 +352,13 @@ func (c *Controller) kick() {
 			return
 		}
 		c.ticking = true
-		c.Ln.ScheduleEvent(0, c.tickH, nil)
+		c.Eng.ScheduleEvent(0, c.tickH, nil)
 		return
 	}
-	now := c.Ln.Now()
+	now := c.Eng.Now()
 	if c.ticking {
 		var g sim.Cycle
-		if c.Ln.InDispatch() {
+		if c.Eng.InDispatch() {
 			g = c.gridUp(now)
 		} else {
 			g = c.gridUp(now + 1)
@@ -386,7 +369,7 @@ func (c *Controller) kick() {
 		return
 	}
 	c.ticking = true
-	c.sessPhase = c.Ln.NewPhase()
+	c.sessPhase = c.Eng.NewPhase()
 	c.anchor = now
 	c.armTick(now)
 }
@@ -410,14 +393,14 @@ func (c *Controller) gridUp(t sim.Cycle) sim.Cycle {
 // fire.
 func (c *Controller) armTick(at sim.Cycle) {
 	c.nextTickAt = at
-	c.Ln.SchedulePhasedAt(at, c.sessPhase, c.tickH, nil)
+	c.Eng.SchedulePhasedAt(at, c.sessPhase, c.tickH, nil)
 }
 
 // phasedTick filters stale tick events: only the live arming of the
 // live session runs. Everything else — ticks armed by a parked session,
 // or armings superseded by an earlier pull — drops here.
 func (c *Controller) phasedTick(phase uint64) {
-	if !c.ticking || phase != c.sessPhase || c.Ln.Now() != c.nextTickAt {
+	if !c.ticking || phase != c.sessPhase || c.Eng.Now() != c.nextTickAt {
 		return
 	}
 	c.tick()
@@ -439,7 +422,7 @@ func (c *Controller) hint(at sim.Cycle) {
 // minimum next-actionable hint gathered from the failed probes — so
 // timing-blocked windows cost one event instead of thousands.
 func (c *Controller) tick() {
-	now := c.Ln.Now()
+	now := c.Eng.Now()
 	c.scanStamp++
 	c.scanNow = now
 	c.nextReady = dram.Never
@@ -454,7 +437,7 @@ func (c *Controller) tick() {
 
 	if c.rdq.n > 0 || c.wrq.n > 0 || c.refreshPending(now) {
 		if c.Cfg.PerCycle {
-			c.Ln.ScheduleEvent(c.busCycle(), c.tickH, nil)
+			c.Eng.ScheduleEvent(c.busCycle(), c.tickH, nil)
 			return
 		}
 		next := now + c.busCycle()
@@ -531,22 +514,18 @@ func (c *Controller) scheduleMaintenance(now sim.Cycle) {
 	if at < now {
 		at = now
 	}
-	// Maintenance is a lane barrier: it must dispatch on the main queue
-	// outside any parallel window, because its handler may start a fresh
-	// scheduling session (phase allocation is global ordering state).
-	c.Ln.ScheduleBarrierEventAt(at, c.maintH, nil, c.maintSlot)
+	c.Eng.ScheduleEventAt(at, c.maintH, nil)
 }
 
 // maintTick is the deferred maintenance check armed by scheduleMaintenance.
 func (c *Controller) maintTick() {
-	c.Ln.ClearBarrier(c.maintSlot)
 	c.maintArmed = false
 	if c.ticking {
 		return
 	}
 	anyDue := false
 	for rk := 0; rk < c.Ch.Ranks(); rk++ {
-		if c.Ch.RefreshDue(c.Ln.Now(), rk) {
+		if c.Ch.RefreshDue(c.Eng.Now(), rk) {
 			anyDue = true
 			c.wakeRank(rk)
 		}
@@ -554,7 +533,7 @@ func (c *Controller) maintTick() {
 	if anyDue {
 		c.kick()
 	} else if c.Ch.Cfg.Timing.TREFI > 0 {
-		c.scheduleMaintenance(c.Ln.Now())
+		c.scheduleMaintenance(c.Eng.Now())
 	}
 }
 
@@ -630,14 +609,14 @@ func (c *Controller) armSleepCheck(delay sim.Cycle) {
 		return
 	}
 	c.sleepArmed = true
-	c.Ln.ScheduleEvent(delay, c.sleepH, nil)
+	c.Eng.ScheduleEvent(delay, c.sleepH, nil)
 }
 
 // sleepTick is the deferred power-down re-check armed by armSleepCheck.
 func (c *Controller) sleepTick() {
 	c.sleepArmed = false
 	if !c.ticking && c.rdq.n == 0 && c.wrq.n == 0 {
-		c.maybeSleep(c.Ln.Now())
+		c.maybeSleep(c.Eng.Now())
 	}
 }
 
@@ -916,7 +895,7 @@ func (c *Controller) finishIssue(r *Request, now, dataStart sim.Cycle, isWrite b
 		r.OnIssue(r)
 	}
 	if r.OnComplete != nil || c.Pool != nil {
-		c.Ln.ScheduleMainEventAt(r.DataEnd, c.compH, r)
+		c.Eng.ScheduleEventAt(r.DataEnd, c.compH, r)
 	}
 }
 

@@ -12,11 +12,9 @@ const poolSlabSize = 64
 // (instead of one heap object each) keeps the live set packed so the
 // controller's queue walks hit adjacent cache lines. A plain slice (not
 // sync.Pool) makes reuse order — and therefore every run — bit-for-bit
-// reproducible, and no locking is needed because each pool belongs to
-// exactly one controller: Gets (and read-completion Puts) happen in
-// main engine context, posted-write Puts inside the owning controller's
-// lane window, and the window handoff orders the two — main context
-// never runs while a window is open.
+// reproducible, and no locking is needed because the engine is
+// single-threaded. Each controller keeps its own pool, so a channel's
+// requests are carved from slabs that hold only that channel's traffic.
 //
 // A Controller with a non-nil Pool returns each request to it as soon as
 // the request is dead: at issue for posted writes, after the completion

@@ -32,19 +32,19 @@ func (m *refModel) pop() event {
 func TestHeapMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		var e Engine
+		var pq []event
 		var m refModel
 		var seq uint64
 		// Random interleaving of pushes and pops; small time range so
 		// same-cycle ties are common.
 		for step := 0; step < 400; step++ {
-			if len(e.pq) == 0 || rng.Intn(3) != 0 {
+			if len(pq) == 0 || rng.Intn(3) != 0 {
 				seq++
 				ev := event{when: Cycle(rng.Intn(16)), seq: seq, h: funcRunner}
-				e.push(ev)
+				heapPush(&pq, ev)
 				m.push(ev)
 			} else {
-				got, want := e.pop(), m.pop()
+				got, want := heapPop(&pq), m.pop()
 				if got.when != want.when || got.seq != want.seq {
 					t.Fatalf("trial %d step %d: pop = (%d,%d), model = (%d,%d)",
 						trial, step, got.when, got.seq, want.when, want.seq)
@@ -53,14 +53,14 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 		}
 		// Drain.
 		for len(m.events) > 0 {
-			got, want := e.pop(), m.pop()
+			got, want := heapPop(&pq), m.pop()
 			if got.when != want.when || got.seq != want.seq {
 				t.Fatalf("trial %d drain: pop = (%d,%d), model = (%d,%d)",
 					trial, got.when, got.seq, want.when, want.seq)
 			}
 		}
-		if len(e.pq) != 0 {
-			t.Fatalf("trial %d: heap kept %d events past the model", trial, len(e.pq))
+		if len(pq) != 0 {
+			t.Fatalf("trial %d: heap kept %d events past the model", trial, len(pq))
 		}
 	}
 }

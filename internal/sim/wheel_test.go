@@ -99,17 +99,16 @@ func TestWheelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMainLaneUsesWheel: an event scheduled through the main-lane proxy
-// inside the wheel window lands in the wheel, exactly as one scheduled
-// on the engine directly; a far one goes to the heap. Both still fire
-// in (when, phase, seq) order.
-func TestMainLaneUsesWheel(t *testing.T) {
+// TestPhasedScheduleUsesWheel: a phased event (the form controller ticks
+// use) and a normal event scheduled inside the wheel window land in the
+// wheel; a far one goes to the heap. All still fire in (when, phase,
+// seq) order.
+func TestPhasedScheduleUsesWheel(t *testing.T) {
 	var e Engine
-	ln := e.MainLane()
 	var got []int
-	ln.ScheduleEventAt(wheelSpan+10, funcRunner, func() { got = append(got, 3) })
-	ln.SchedulePhasedAt(5, e.NewPhase(), phasedFunc{}, func() { got = append(got, 2) })
-	ln.ScheduleEventAt(5, funcRunner, func() { got = append(got, 1) })
+	e.ScheduleEventAt(wheelSpan+10, funcRunner, func() { got = append(got, 3) })
+	e.SchedulePhasedAt(5, e.NewPhase(), phasedFunc{}, func() { got = append(got, 2) })
+	e.ScheduleEventAt(5, funcRunner, func() { got = append(got, 1) })
 	if e.wcount != 2 || len(e.pq) != 1 {
 		t.Fatalf("wheel holds %d and heap %d events, want 2 and 1", e.wcount, len(e.pq))
 	}
