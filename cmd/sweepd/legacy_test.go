@@ -8,9 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // legacyField is the JSON name of the spec field that once asked for
@@ -33,11 +37,31 @@ func legacyParallelSpec(t *testing.T) (body []byte, id string) {
 	return body, hex.EncodeToString(sum[:])[:12]
 }
 
+// lockedBuffer is a log sink safe to write from the poll loop while
+// the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestSweepdLegacyParallelSpec: a spec carrying the removed legacyField
 // still decodes, builds cells with exactly the store keys of the
 // same spec without it, and — from a state-dir file or a POST — runs
 // to completion over a cache filled by the plain spec without
-// simulating a single cell.
+// simulating a single cell. A polling server discovers the file once,
+// although its name is not the ID the spec hashes to now.
 func TestSweepdLegacyParallelSpec(t *testing.T) {
 	body, legacyID := legacyParallelSpec(t)
 	var legacy JobSpec
@@ -114,5 +138,36 @@ func TestSweepdLegacyParallelSpec(t *testing.T) {
 	}
 	if got := warm.srv.executed.Load(); got != 0 {
 		t.Fatalf("legacy job simulated %d cells over a warm cache, want 0", got)
+	}
+
+	// The same file dropped into a polling server's state directory is
+	// discovered once, not on every poll.
+	const poll = 10 * time.Millisecond
+	pollDir := filepath.Join(dir, "state-poll")
+	var log lockedBuffer
+	srv, err := NewServer(Options{CacheDir: cacheDir, StateDir: pollDir, Workers: 2, Poll: poll, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	tmp := filepath.Join(pollDir, "jobs", ".legacy.tmp")
+	if err := os.WriteFile(tmp, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, filepath.Join(pollDir, "jobs", legacyID+".json")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); !strings.Contains(log.String(), "discovered job"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("legacy spec file never discovered:\n%s", log.String())
+		}
+		time.Sleep(poll)
+	}
+	(&harness{srv: srv, ts: ts}).waitDone(t, st.ID)
+	time.Sleep(10 * poll)
+	if n := strings.Count(log.String(), "discovered job"); n != 1 {
+		t.Fatalf("legacy spec file discovered %d times over 10+ polls, want once:\n%s", n, log.String())
 	}
 }

@@ -187,6 +187,11 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
+	// scanned holds the state-dir spec file names scanJobs has
+	// submitted. A file's name need not be the ID its spec hashes to
+	// now (an older server's spec, or one dropped in by hand), so the
+	// job IDs alone cannot tell a rescan that a file is done with.
+	scanned map[string]bool
 }
 
 var (
@@ -242,6 +247,7 @@ func NewServer(opts Options) (*Server, error) {
 		pool:    runpool.New[string, hetsim.Results](opts.Workers),
 		drainCh: make(chan struct{}),
 		jobs:    map[string]*job{},
+		scanned: map[string]bool{},
 	}
 	if err := s.scanJobs("resumed"); err != nil {
 		return nil, err
@@ -257,7 +263,8 @@ func NewServer(opts Options) (*Server, error) {
 func (s *Server) Owner() string { return s.leases.Owner() }
 
 // scanJobs submits every job whose spec file sits in the state
-// directory, skipping ones already known. It is both startup resume
+// directory, skipping files it already submitted and files named after
+// a known job. It is both startup resume
 // and the poll loop's rescan: a job POSTed to any worker sharing the
 // state directory is checkpointed before it is enqueued, so every
 // peer's next scan joins it. The store decides which cells still need
@@ -277,6 +284,7 @@ func (s *Server) scanJobs(verb string) error {
 		}
 		s.mu.Lock()
 		_, known := s.jobs[strings.TrimSuffix(name, ".json")]
+		known = known || s.scanned[name]
 		s.mu.Unlock()
 		if known {
 			continue
@@ -295,6 +303,9 @@ func (s *Server) scanJobs(verb string) error {
 			fmt.Fprintf(s.opts.Log, "sweepd: %s %s: %v\n", verb, name, err)
 			continue
 		}
+		s.mu.Lock()
+		s.scanned[name] = true
+		s.mu.Unlock()
 		fmt.Fprintf(s.opts.Log, "sweepd: %s job %s\n", verb, spec.id())
 	}
 	return nil

@@ -113,8 +113,9 @@ func DRAMCached(nCores int) Config { return core.DRAMCached(nCores) }
 func HMCMix(nCores int) Config { return core.HMCMix(nCores) }
 
 // Topology is a declarative memory organization: a validated list of
-// channel groups (device kind × count × role × bus wiring). Set
-// Config.Topology to override the legacy organization booleans.
+// channel groups (device kind × count × role × bus wiring). Every
+// Config carries one in Config.Topology; the named configurations
+// above are presets that spell it.
 type Topology = topology.Spec
 
 // ParseTopology resolves a topology string — a named organization

@@ -53,12 +53,22 @@ func TestPublicAPIBenchmarkList(t *testing.T) {
 func TestPublicAPIConfigs(t *testing.T) {
 	for _, cfg := range []hetsim.Config{
 		hetsim.Baseline(8), hetsim.HomogeneousLPDDR2(8), hetsim.HomogeneousRLDRAM3(8),
-		hetsim.RD(8), hetsim.RL(8), hetsim.DL(8),
+		hetsim.RD(8), hetsim.RL(8), hetsim.DL(8), hetsim.HMCHetero(8),
+		hetsim.HMCMix(8), hetsim.DRAMCached(8),
 		hetsim.PagePlaced(8, map[uint64]bool{0: true}),
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
+		// Every preset spells its organization as a topology, and the
+		// named topology of the same text parses back to it.
+		spec, err := hetsim.ParseTopology(cfg.Topology.Canonical())
+		if err != nil || spec.Canonical() != cfg.Topology.Canonical() {
+			t.Errorf("%s: topology %q does not round-trip: %v", cfg.Name, cfg.Topology.Canonical(), err)
+		}
+	}
+	if got := hetsim.PagePlaced(8, nil).Topology.Canonical(); got != "hot:rldram3x1+line:lpddr2x3" {
+		t.Errorf("page placement topology = %q", got)
 	}
 	cfg := hetsim.RL(8)
 	cfg.Placement = hetsim.PlaceAdaptive

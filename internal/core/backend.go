@@ -461,13 +461,19 @@ func (b *cwfBackend) DegradeCrit() { b.critDead = true }
 
 func (b *cwfBackend) Groups() []ChannelGroup { return b.groups }
 
-// newPagePlaced builds the §7.1 comparison: channel 0 is a half-size
-// full-line RLDRAM3 channel holding the profiled hot pages; channels
-// 1..3 are LPDDR2. Lines of a page stay on one channel.
-func newPagePlaced(eng *sim.Engine, hot map[uint64]bool, deepSleep bool) *lineBackend {
+// newPagePlaced builds the §7.1 comparison from a hot/line topology:
+// the hot group's full-line channels hold the profiled hot pages, the
+// line group's channels every other page. Lines of a page stay on one
+// channel, and channel-local addresses are the raw line addresses. The
+// groups keep that order, so LineMapping remaps the hot group.
+func newPagePlaced(eng *sim.Engine, hotCfg dram.Config, nHot int, lineCfg dram.Config, nLine int,
+	hot map[uint64]bool, deepSleep bool) *lineBackend {
 	b := newLineBackend(eng)
-	kinds := []dram.Config{dram.RLDRAM3Config(), dram.LPDDR2Config(), dram.LPDDR2Config(), dram.LPDDR2Config()}
-	for _, cfg := range kinds {
+	for i := 0; i < nHot+nLine; i++ {
+		cfg := lineCfg
+		if i < nHot {
+			cfg = hotCfg
+		}
 		ch := dram.NewChannel(cfg, 1, nil)
 		mc := memctrl.DefaultConfig(cfg.Kind)
 		mc.DeepSleep = deepSleep
@@ -477,15 +483,15 @@ func newPagePlaced(eng *sim.Engine, hot map[uint64]bool, deepSleep bool) *lineBa
 	b.route = func(la uint64) (int, uint64) {
 		page := la / linesPerPage
 		if hot[page] {
-			return 0, la
+			return int(page % uint64(nHot)), la
 		}
-		return 1 + int(page%3), la
+		return nHot + int(page%uint64(nLine)), la
 	}
 	b.group = []ChannelGroup{
-		{Kind: dram.RLDRAM3, Cfg: kinds[0], Chans: b.chans[:1], Ctrls: b.ctrls[:1],
-			DevicesPerAccess: 9, DevicesPerRank: 9},
-		{Kind: dram.LPDDR2, Cfg: kinds[1], Chans: b.chans[1:], Ctrls: b.ctrls[1:],
-			DevicesPerAccess: 8, DevicesPerRank: 8},
+		{Kind: hotCfg.Kind, Cfg: hotCfg, Chans: b.chans[:nHot], Ctrls: b.ctrls[:nHot],
+			DevicesPerAccess: hotCfg.Geom.DevicesPerRank, DevicesPerRank: hotCfg.Geom.DevicesPerRank},
+		{Kind: lineCfg.Kind, Cfg: lineCfg, Chans: b.chans[nHot:], Ctrls: b.ctrls[nHot:],
+			DevicesPerAccess: lineCfg.Geom.DevicesPerRank, DevicesPerRank: lineCfg.Geom.DevicesPerRank},
 	}
 	return b
 }

@@ -192,15 +192,15 @@ func TestCWFBackendGroups(t *testing.T) {
 
 func TestPagePlacedRouting(t *testing.T) {
 	eng := &sim.Engine{}
-	hot := map[uint64]bool{0: true}
-	b := newPagePlaced(eng, hot, false)
+	hot := map[uint64]bool{0: true, 3: true}
+	b := newPagePlaced(eng, dram.RLDRAM3Config(), 1, dram.LPDDR2Config(), 3, hot, false)
 	// Lines of hot page 0 go to channel 0 (RLDRAM3).
 	if ch, _ := b.route(5); ch != 0 {
 		t.Fatalf("hot line routed to channel %d", ch)
 	}
 	// Lines of cold pages go to channels 1-3.
 	cold := map[int]bool{}
-	for page := uint64(1); page < 10; page++ {
+	for page := uint64(4); page < 13; page++ {
 		ch, _ := b.route(page * 64)
 		if ch == 0 {
 			t.Fatalf("cold page %d routed to RLDRAM3 channel", page)
@@ -210,8 +210,17 @@ func TestPagePlacedRouting(t *testing.T) {
 	if len(cold) != 3 {
 		t.Fatalf("cold pages spread over %d channels, want 3", len(cold))
 	}
-	if b.Groups()[0].Kind != dram.RLDRAM3 {
-		t.Fatal("hot channel kind wrong")
+	if g := b.Groups(); g[0].Kind != dram.RLDRAM3 || g[0].DevicesPerAccess != 9 || g[1].DevicesPerAccess != 8 {
+		t.Fatalf("groups wrong: hot %v x%d, line x%d", g[0].Kind, g[0].DevicesPerAccess, g[1].DevicesPerAccess)
+	}
+
+	// Two hot channels split the hot pages by page number; the line
+	// channels follow them.
+	b = newPagePlaced(eng, dram.RLDRAM3Config(), 2, dram.LPDDR2Config(), 2, hot, false)
+	for page, want := range map[uint64]int{0: 0, 3: 1, 4: 2, 5: 3} {
+		if ch, _ := b.route(page * 64); ch != want {
+			t.Errorf("page %d routed to channel %d, want %d", page, ch, want)
+		}
 	}
 }
 

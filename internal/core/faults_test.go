@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"hetsim/internal/dram"
 	"hetsim/internal/faults"
+	"hetsim/internal/topology"
 )
 
 // TestArmedIdleFaultLayerIsByteIdentical: a config whose fault layer is
@@ -126,7 +128,18 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 		{"zero cores", func(c *SystemConfig) { c.NCores = 0 }, false},
 		{"negative cores", func(c *SystemConfig) { c.NCores = -3 }, false},
 		{"absurd cores", func(c *SystemConfig) { c.NCores = 65 }, false},
-		{"split plus page placement", func(c *SystemConfig) { c.PagePlacement = true }, false},
+		{"empty topology", func(c *SystemConfig) { c.Topology = topology.Spec{} }, false},
+		{"hot pages on a CWF topology", func(c *SystemConfig) { c.HotPages = map[uint64]bool{1: true} }, false},
+		{"hot/line topology without hot pages", func(c *SystemConfig) {
+			c.Topology = topology.Pages(dram.RLDRAM3, 1, dram.LPDDR2, 3)
+		}, false},
+		{"valid hot/line topology", func(c *SystemConfig) {
+			c.Topology = topology.Pages(dram.RLDRAM3, 1, dram.LPDDR2, 3)
+			c.HotPages = map[uint64]bool{1: true}
+		}, true},
+		{"LPDDR2 critical channel", func(c *SystemConfig) {
+			c.Topology = topology.CWF(dram.LPDDR2, Channels, dram.DDR3, Channels, topology.BusDefault, false)
+		}, false},
 		{"unknown placement", func(c *SystemConfig) { c.Placement = Placement(9) }, false},
 		{"unknown mapping", func(c *SystemConfig) { c.LineMapping = Mapping(9) }, false},
 		{"negative ROB", func(c *SystemConfig) { c.ROBSize = -1 }, false},

@@ -68,11 +68,9 @@ type Hierarchy struct {
 	eng *sim.Engine
 	cfg SystemConfig
 
-	// split reports whether the effective topology is the CWF split
-	// organization — derived from EffectiveTopology at construction so
-	// a config declaring the split via an explicit Topology spec drives
-	// the same paths (placement, parity, crit-fault injection, adaptive
-	// re-placement) as one using the legacy Split boolean.
+	// split reports whether the topology is the CWF split organization,
+	// which drives placement, parity, crit-fault injection and adaptive
+	// re-placement.
 	split bool
 
 	l1s  []*cache.Cache
@@ -120,10 +118,9 @@ const (
 )
 
 func newHierarchy(eng *sim.Engine, cfg SystemConfig, mem backend, shared bool) *Hierarchy {
-	spec, ok := cfg.EffectiveTopology()
 	h := &Hierarchy{
 		eng: eng, cfg: cfg, mem: mem, sharedSpace: shared,
-		split:  ok && spec.Shape() == topology.ShapeCWF,
+		split:  cfg.Topology.Shape() == topology.ShapeCWF,
 		l2:     cache.New(4*1024*1024, 8),
 		mshr:   cache.NewMSHR(MSHRCapacity),
 		placed: make(map[uint64]uint8),

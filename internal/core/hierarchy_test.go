@@ -7,6 +7,7 @@ import (
 	"hetsim/internal/cpu"
 	"hetsim/internal/dram"
 	"hetsim/internal/sim"
+	"hetsim/internal/topology"
 )
 
 // stubBackend gives tests full control over fill delivery timing.
@@ -371,14 +372,28 @@ func TestBuildBackendVariants(t *testing.T) {
 	eng := &sim.Engine{}
 	for _, cfg := range []SystemConfig{
 		Baseline(2), HomogeneousLPDDR2(2), HomogeneousRLDRAM3(2),
-		RD(2), RL(2), DL(2), PagePlaced(2, map[uint64]bool{1: true}),
+		RD(2), RL(2), DL(2), HMCHetero(2), DRAMCached(2),
+		PagePlaced(2, map[uint64]bool{1: true}),
 	} {
 		b, err := buildBackend(eng, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		if len(b.Groups()) == 0 {
-			t.Fatalf("%s: no channel groups", cfg.Name)
+		// One channel per group member of the spec, whatever its shape.
+		want, got := 0, 0
+		for _, g := range cfg.Topology.Groups {
+			want += g.Count
+		}
+		for _, g := range b.Groups() {
+			got += len(g.Chans)
+		}
+		if got != want {
+			t.Fatalf("%s: built %d channels, topology %s has %d", cfg.Name, got, cfg.Topology.Canonical(), want)
+		}
+		// Only the crit/line split drives the critical-word paths.
+		h := newHierarchy(eng, cfg, b, false)
+		if h.split != (cfg.Topology.Shape() == topology.ShapeCWF) {
+			t.Fatalf("%s: split = %v", cfg.Name, h.split)
 		}
 	}
 	if _, err := lineConfigFor(dram.Kind(99)); err == nil {

@@ -247,15 +247,10 @@ func applyLineMapping(mem backend, m Mapping) {
 	}
 }
 
-// buildBackend assembles the memory organization for a config by
-// iterating the groups of its effective topology. The §7.1
-// page-placement system is a placement policy over a fixed channel set
-// rather than a topology; it keeps its dedicated builder.
+// buildBackend assembles the memory organization for a config from the
+// groups of its topology.
 func buildBackend(eng *sim.Engine, cfg SystemConfig) (backend, error) {
-	if cfg.PagePlacement {
-		return newPagePlaced(eng, cfg.HotPages, cfg.DeepSleepLP), nil
-	}
-	spec, _ := cfg.EffectiveTopology()
+	spec := cfg.Topology
 	switch spec.Shape() {
 	case topology.ShapeCWF:
 		crit, _ := spec.Group(topology.RoleCrit)
@@ -293,6 +288,20 @@ func buildBackend(eng *sim.Engine, cfg SystemConfig) (backend, error) {
 			farCfg.Policy = dram.ClosePage
 		}
 		return newDRAMCache(eng, cacheCfg, cacheG.Count, cacheG.CapacityMB, farCfg, farG.Count, cfg.DeepSleepLP), nil
+	case topology.ShapePages:
+		// ClosePageLines does not apply: the §7.1 system runs every
+		// channel with its family's default policy.
+		hotG, _ := spec.Group(topology.RoleHot)
+		lineG, _ := spec.Group(topology.RoleLine)
+		hotCfg, err := lineConfigFor(hotG.Kind)
+		if err != nil {
+			return nil, err
+		}
+		lineCfg, err := lineConfigFor(lineG.Kind)
+		if err != nil {
+			return nil, err
+		}
+		return newPagePlaced(eng, hotCfg, hotG.Count, lineCfg, lineG.Count, cfg.HotPages, cfg.DeepSleepLP), nil
 	default: // ShapeUnified
 		g := spec.Groups[0]
 		lineCfg, err := lineConfigFor(g.Kind)

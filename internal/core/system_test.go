@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hetsim/internal/dram"
+	"hetsim/internal/topology"
 	"hetsim/internal/workload"
 )
 
@@ -221,12 +222,23 @@ func TestConfigValidation(t *testing.T) {
 	if err := (SystemConfig{NCores: 0}).Validate(); err == nil {
 		t.Error("zero cores accepted")
 	}
-	bad := RL(4)
-	bad.PagePlacement = true
-	if err := bad.Validate(); err == nil {
-		t.Error("split+pageplacement accepted")
+	if err := (SystemConfig{NCores: 2, Name: "x"}).Validate(); err == nil {
+		t.Error("empty topology accepted")
 	}
-	if _, err := NewSystem(SystemConfig{NCores: 2, Split: true, CritKind: dram.LPDDR2, LineKind: dram.DDR3, Name: "x"},
+	bad := RL(4)
+	bad.HotPages = map[uint64]bool{1: true}
+	if err := bad.Validate(); err == nil {
+		t.Error("hot pages on a CWF topology accepted")
+	}
+	bad = PagePlaced(4, nil)
+	if err := bad.Validate(); err == nil {
+		t.Error("hot/line topology without hot pages accepted")
+	}
+	lpCrit, err := topology.Parse("crit:lpddr2x4+line:ddr3x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSystem(SystemConfig{NCores: 2, Topology: lpCrit, Name: "x"},
 		mustSpec(t, "mcf")); err == nil {
 		t.Error("LPDDR2 critical channel accepted")
 	}
@@ -277,7 +289,7 @@ func TestHMCHeteroSystem(t *testing.T) {
 
 func TestWideRankSystemRuns(t *testing.T) {
 	cfg := RL(4)
-	cfg.WideCritRank = true
+	cfg.Topology = topology.CWF(dram.RLDRAM3, 1, dram.LPDDR2, Channels, topology.BusDefault, true)
 	cfg.Name = "RL-wide"
 	r := runOne(t, cfg, "libquantum")
 	if r.DemandReads < 1000 || r.CritFromFastFrac < 0.5 {
@@ -287,7 +299,7 @@ func TestWideRankSystemRuns(t *testing.T) {
 
 func TestPrivateCmdBusSystemRuns(t *testing.T) {
 	cfg := RL(4)
-	cfg.PrivateCritCmdBus = true
+	cfg.Topology = topology.CWF(dram.RLDRAM3, Channels, dram.LPDDR2, Channels, topology.BusPrivate, false)
 	cfg.Name = "RL-privbus"
 	r := runOne(t, cfg, "milc")
 	if r.DemandReads < 1000 {

@@ -105,19 +105,15 @@ func ParseTopology(s string) (topology.Spec, error) {
 	return spec, nil
 }
 
-// ApplyTopology overrides cfg's memory organization with an explicit
-// topology spec, clearing the legacy organization fields it subsumes
-// and folding the canonical spec into cfg.Name so rows and cache index
-// entries stay self-describing.
+// ApplyTopology overrides cfg's memory organization with a topology
+// spec, dropping any hot-page profile, and folds the canonical spec
+// into cfg.Name so rows and cache index entries stay self-describing.
 func ApplyTopology(cfg *core.SystemConfig, s string) error {
 	spec, err := ParseTopology(s)
 	if err != nil {
 		return err
 	}
-	cfg.Split, cfg.CritKind, cfg.LineKind = false, 0, 0
-	cfg.PrivateCritCmdBus, cfg.WideCritRank = false, false
-	cfg.PagePlacement, cfg.HotPages = false, nil
-	cfg.Topology = &spec
+	cfg.Topology, cfg.HotPages = spec, nil
 	cfg.Name = fmt.Sprintf("%s[topology=%s]", cfg.Name, spec.Canonical())
 	return nil
 }

@@ -97,9 +97,9 @@ func TestTopologyNamesAllResolve(t *testing.T) {
 			t.Fatalf("ParseTopology(%q) not case-insensitive", name)
 		}
 	}
-	// The named CWF organizations must match the boolean presets they
-	// stand for, so a -topology run shares cache entries with the named
-	// config's runs.
+	// The named organizations must match the presets they stand for,
+	// so a -topology run shares cache entries with the named config's
+	// runs.
 	for name, mk := range map[string]func(int) core.SystemConfig{
 		"cwf-rl": core.RL, "cwf-rd": core.RD, "cwf-dl": core.DL,
 		"unified-ddr3": core.Baseline, "hmc-mix": core.HMCMix,
@@ -108,7 +108,7 @@ func TestTopologyNamesAllResolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseTopology(%q): %v", name, err)
 		}
-		want, _ := mk(8).EffectiveTopology()
+		want := mk(8).Topology
 		if spec.Canonical() != want.Canonical() {
 			t.Errorf("topology %q = %s, preset has %s", name, spec.Canonical(), want.Canonical())
 		}
@@ -132,12 +132,13 @@ func TestParseTopologyRawSpec(t *testing.T) {
 }
 
 func TestApplyTopology(t *testing.T) {
-	cfg := core.RL(8)
+	cfg := core.PagePlaced(8, map[uint64]bool{1: true})
+	cfg.Name = "RL"
 	if err := ApplyTopology(&cfg, "dram-cache"); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Topology == nil || cfg.Split || cfg.PrivateCritCmdBus || cfg.WideCritRank {
-		t.Fatalf("legacy organization fields not cleared: %+v", cfg)
+	if cfg.HotPages != nil {
+		t.Fatalf("hot-page profile not cleared: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("applied config invalid: %v", err)

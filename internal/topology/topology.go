@@ -8,8 +8,9 @@
 // topology is simultaneously a CLI value, a validated build plan for
 // core.NewSystem, and a canonical cache-key component. The package is
 // purely structural — it knows which shapes are expressible (unified,
-// crit/line split, cache-tier/far-tier), not which device kinds a given
-// role supports; that policy lives with the system builder.
+// crit/line split, hot/line page placement, cache-tier/far-tier), not
+// which device kinds a given role supports; that policy lives with the
+// system builder.
 package topology
 
 import (
@@ -25,15 +26,18 @@ import (
 type Role int
 
 // The modelled roles. Unified is a homogeneous main memory; Crit/Line
-// form the paper's critical-word-first split (§4.2); CacheTier/FarTier
-// form a DRAM-cache organization (a fast tier probed first, fronting a
-// slow far memory).
+// form the paper's critical-word-first split (§4.2); Hot/Line form the
+// §7.1 page-placement comparison (full-line channels holding profiled
+// hot pages beside the line channels holding the rest); CacheTier/
+// FarTier form a DRAM-cache organization (a fast tier probed first,
+// fronting a slow far memory).
 const (
 	RoleUnified Role = iota
 	RoleCrit
 	RoleLine
 	RoleCacheTier
 	RoleFarTier
+	RoleHot
 )
 
 var roleTokens = [...]string{
@@ -42,6 +46,7 @@ var roleTokens = [...]string{
 	RoleLine:      "line",
 	RoleCacheTier: "cache-tier",
 	RoleFarTier:   "far-tier",
+	RoleHot:       "hot",
 }
 
 // String returns the role token used in topology strings.
@@ -59,7 +64,7 @@ func parseRole(s string) (Role, error) {
 			return Role(r), nil
 		}
 	}
-	return 0, fmt.Errorf("topology: unknown role %q (crit|line|unified|cache-tier|far-tier)", s)
+	return 0, fmt.Errorf("topology: unknown role %q (crit|hot|line|unified|cache-tier|far-tier)", s)
 }
 
 // BusWiring selects how a group's channels share command wiring. Only
@@ -113,6 +118,7 @@ const (
 	ShapeUnified Shape = iota // one unified group
 	ShapeCWF                  // crit + line (the paper's split)
 	ShapeCache                // cache-tier + far-tier
+	ShapePages                // hot + line (§7.1 page placement)
 )
 
 // Shape classifies a validated spec. Calling it on an invalid spec
@@ -123,6 +129,9 @@ func (s Spec) Shape() Shape {
 	}
 	if _, ok := s.Group(RoleCacheTier); ok {
 		return ShapeCache
+	}
+	if _, ok := s.Group(RoleHot); ok {
+		return ShapePages
 	}
 	return ShapeUnified
 }
@@ -137,20 +146,22 @@ func (s Spec) Group(r Role) (ChannelGroup, bool) {
 	return ChannelGroup{}, false
 }
 
-// roleRank orders groups canonically: crit before line, cache before
-// far, unified alone.
+// roleRank orders groups canonically: crit or hot before line, cache
+// before far, unified alone.
 func roleRank(r Role) int {
 	switch r {
 	case RoleCrit:
 		return 0
-	case RoleLine:
+	case RoleHot:
 		return 1
-	case RoleUnified:
+	case RoleLine:
 		return 2
-	case RoleCacheTier:
+	case RoleUnified:
 		return 3
-	default: // RoleFarTier
+	case RoleCacheTier:
 		return 4
+	default: // RoleFarTier
+		return 5
 	}
 }
 
@@ -207,11 +218,15 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	// Shape: exactly one of the three known organizations.
+	// Shape: exactly one of the four known organizations.
 	switch {
 	case seen[RoleUnified]:
 		if len(s.Groups) != 1 {
 			return fmt.Errorf("topology: unified cannot combine with other roles")
+		}
+	case seen[RoleHot]:
+		if !seen[RoleLine] || len(s.Groups) != 2 {
+			return fmt.Errorf("topology: a page-placement organization is exactly hot + line")
 		}
 	case seen[RoleCrit] || seen[RoleLine]:
 		if !seen[RoleCrit] || !seen[RoleLine] || len(s.Groups) != 2 {
@@ -354,6 +369,16 @@ func Unified(kind dram.Kind, n int) Spec {
 func CWF(critKind dram.Kind, critN int, lineKind dram.Kind, lineN int, bus BusWiring, wide bool) Spec {
 	return Spec{Groups: []ChannelGroup{
 		{Kind: critKind, Count: critN, Role: RoleCrit, Bus: bus, Wide: wide},
+		{Kind: lineKind, Count: lineN, Role: RoleLine},
+	}}.Normalized()
+}
+
+// Pages builds the §7.1 page-placement organization: hotN full-line
+// channels of hotKind holding the profiled hot pages, beside lineN
+// channels of lineKind holding every other page.
+func Pages(hotKind dram.Kind, hotN int, lineKind dram.Kind, lineN int) Spec {
+	return Spec{Groups: []ChannelGroup{
+		{Kind: hotKind, Count: hotN, Role: RoleHot},
 		{Kind: lineKind, Count: lineN, Role: RoleLine},
 	}}.Normalized()
 }

@@ -19,6 +19,8 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"crit:rldram3x2+line:ddr3x8",
 		"cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
 		"cache-tier:rldram3x2:cap=128+far-tier:ddr3x4",
+		"hot:rldram3x1+line:lpddr2x3",
+		"hot:rldram3x2+line:ddr3x3",
 	}
 	for _, text := range cases {
 		spec, err := Parse(text)
@@ -50,6 +52,8 @@ func TestCanonicalNormalizes(t *testing.T) {
 		"line:lpddr2x4:private+crit:rldram3x4":          "crit:rldram3x4+line:lpddr2x4",
 		"far-tier:lpddr2x4+cache-tier:rldram3x1:cap=64": "cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
 		"CRIT:RLDRAM3x4+Line:LPDDR2x4":                  "crit:rldram3x4+line:lpddr2x4",
+		"line:lpddr2x3+hot:rldram3x1":                   "hot:rldram3x1+line:lpddr2x3",
+		"hot:rldram3x1:private+line:lpddr2x3":           "hot:rldram3x1+line:lpddr2x3",
 	} {
 		spec, err := Parse(in)
 		if err != nil {
@@ -93,6 +97,13 @@ func TestParseRejects(t *testing.T) {
 		"cache-tier:rldram3x1:cap=9999+far-tier:lpddr2x4": "out of range",
 		"cache-tier:rldram3x1:cap=oops+far-tier:lpddr2x4": "bad capacity",
 		"unified:ddr3x4:sparkly":                          "unknown attribute",
+		"hot:rldram3x1":                                   "exactly hot + line",
+		"hot:rldram3x1+crit:rldram3x4":                    "exactly hot + line",
+		"hot:rldram3x1+crit:rldram3x4+line:lpddr2x4":      "exactly hot + line",
+		"hot:rldram3x1+far-tier:lpddr2x4":                 "exactly hot + line",
+		"hot:rldram3x1:shared+line:lpddr2x3":              "only the crit command bus",
+		"hot:rldram3x1:wide+line:lpddr2x3":                "crit-only",
+		"hot:rldram3x1:cap=64+line:lpddr2x3":              "cache-tier attribute",
 	}
 	for in, wantSub := range cases {
 		_, err := Parse(in)
@@ -127,6 +138,32 @@ func TestShapeAndGroup(t *testing.T) {
 	if _, ok := dc.Group(RoleCrit); ok {
 		t.Error("DRAMCache reports a crit group")
 	}
+	pages := Pages(dram.RLDRAM3, 1, dram.LPDDR2, 3)
+	if pages.Shape() != ShapePages {
+		t.Errorf("Pages shape = %v", pages.Shape())
+	}
+	if err := pages.Validate(); err != nil {
+		t.Errorf("Pages: %v", err)
+	}
+	if g, ok := pages.Group(RoleHot); !ok || g.Kind != dram.RLDRAM3 || g.Count != 1 || g.Bus != BusPrivate {
+		t.Errorf("Pages hot group = %+v, %v", g, ok)
+	}
+}
+
+// TestRoleRankOrder pins the canonical group order: crit and hot (which
+// never combine) lead the line group, unified stands alone, and the
+// cache tier precedes the far tier.
+func TestRoleRankOrder(t *testing.T) {
+	order := []Role{RoleCrit, RoleHot, RoleLine, RoleUnified, RoleCacheTier, RoleFarTier}
+	for i := 1; i < len(order); i++ {
+		if roleRank(order[i-1]) >= roleRank(order[i]) {
+			t.Errorf("roleRank(%s) = %d not below roleRank(%s) = %d",
+				order[i-1], roleRank(order[i-1]), order[i], roleRank(order[i]))
+		}
+	}
+	if r, err := parseRole("HOT"); err != nil || r != RoleHot || r.String() != "hot" {
+		t.Errorf("parseRole(HOT) = %v, %v", r, err)
+	}
 }
 
 func TestBuildersCanonical(t *testing.T) {
@@ -137,6 +174,7 @@ func TestBuildersCanonical(t *testing.T) {
 		CWF(dram.RLDRAM3, 1, dram.LPDDR2, 4, BusDefault, true).String():  "crit:rldram3x1:wide+line:lpddr2x4",
 		CWF(dram.HMCFast, 4, dram.HMCLP, 4, BusDefault, false).String():  "crit:hmc-fastx4+line:hmc-lpx4",
 		DRAMCache(dram.RLDRAM3, 1, 64, dram.LPDDR2, 4).String():          "cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
+		Pages(dram.RLDRAM3, 1, dram.LPDDR2, 3).String():                  "hot:rldram3x1+line:lpddr2x3",
 	} {
 		if spec != want {
 			t.Errorf("builder produced %q, want %q", spec, want)
@@ -153,6 +191,7 @@ func FuzzTopologyParse(f *testing.F) {
 		"crit:rldram3x1:wide+line:lpddr2x4",
 		"crit:hmc-fastx4+line:hmc-lpx4",
 		"cache-tier:rldram3x1:cap=64+far-tier:lpddr2x4",
+		"line:lpddr2x3+hot:rldram3x1",
 		"crit:rldram3x4:shared:private",
 		"line:lpddr2x4+crit:rldram3x4",
 		"unified:ddr3x999999999999999999",
